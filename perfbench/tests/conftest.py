@@ -1,0 +1,7 @@
+"""Make ``perfbench`` and the package in ``src/`` importable from the tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]

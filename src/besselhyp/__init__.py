@@ -7,6 +7,7 @@ engine, an independent power-series oracle, and CSV/JSON reporting tools.
 
 from .approximation import (
     ApproxRequest,
+    Binary64OverflowError,
     DomainError,
     approx_I,
     approx_J,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxRequest",
+    "Binary64OverflowError",
     "CoefficientTable",
     "DEFAULT_N_MAX",
     "DomainError",

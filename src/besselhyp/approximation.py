@@ -15,6 +15,13 @@ strictly below 4p - n, so it needs n < 4p; the leading error term scales
 like z**(4p-n).  Below a configurable |z| threshold the evaluator switches
 to the truncated series itself, because the assembled form cancels
 catastrophically between its negative z powers as z -> 0.
+
+Every kernel of the order-n assembly is taken at the same p arguments z and
+c_k z; only the parity and the node weights 2 c_k**q change from term to
+term.  Each (kind, n, p) is therefore compiled once into a cached plan, and
+evaluating it takes one sinh/cosh (sin/cos) pair per argument.  The plan
+runs the same Horner recurrence, in the same order, as the kernel sums, so
+its results equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -22,22 +29,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
 
 from .coefficients import Term, derive_expansion
-from .kernels import (
-    KernelKind,
-    kernel_cos,
-    kernel_cosh,
-    kernel_sin,
-    kernel_sinh,
-    make_nodes,
-    node_power,
-)
+from .kernels import KernelKind, kernel_cosh, make_nodes, node_power
 
 
 class DomainError(ValueError):
     """The (n, p) pair lies outside the approximant's matched-series domain."""
+
+
+class Binary64OverflowError(DomainError, OverflowError):
+    """The approximant at this argument does not fit in binary64.
+
+    Raised where a kernel value, a term or the assembled sum overflows; for
+    I that starts near |z| = 710.  It is also an OverflowError, which is what
+    the hyperbolic functions themselves raise.
+    """
 
 
 def default_small_z_threshold(n: int) -> float:
@@ -67,6 +76,9 @@ class ApproxRequest:
     def __post_init__(self) -> None:
         if self.kind not in ("I", "J"):
             raise ValueError(f"kind must be 'I' or 'J', got {self.kind!r}")
+        if type(self.n) is not int or type(self.p) is not int:
+            _require_int("order n", self.n)
+            _require_int("accuracy parameter p", self.p)
         if self.n < 0:
             raise ValueError(f"order n must be >= 0, got {self.n}")
         if self.p < 1:
@@ -83,6 +95,12 @@ class ApproxRequest:
             object.__setattr__(self, "eps", default_small_z_threshold(self.n))
         elif not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+
+
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but True is no order.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _j_term_sign(q: int) -> int:
@@ -115,30 +133,91 @@ def _maclaurin_series(n: int, z: float, num_terms: int, alternating: bool) -> fl
     return total
 
 
-def _horner_terms(terms: Iterable[Term], nodes, z: float, *, trig: bool) -> float:
-    # Ascending q with one division by z per step keeps every intermediate
-    # a plain kernel combination: acc <- acc/z + coeff * kernel_q.
-    sinh_like = kernel_sin if trig else kernel_sinh
-    cosh_like = kernel_cos if trig else kernel_cosh
-    acc = 0.0
-    first = True
-    for term in terms:
-        if term.kind is KernelKind.SINH:
-            value = sinh_like(term.q, nodes, z)
+class _Plan(NamedTuple):
+    """One term list compiled against one node set.
+
+    ``steps`` holds, per term in ascending q: whether it is sinh-like, its
+    coefficient as a float (rotation sign applied for the circular kind) and
+    its node weights 2 c_k**q.  ``odd``/``even`` are the sinh-like and
+    cosh-like functions, or None where no term uses that parity.
+    """
+
+    nodes: tuple[float, ...]
+    odd: Callable[[float], float] | None
+    even: Callable[[float], float] | None
+    steps: tuple[tuple[bool, float, tuple[float, ...]], ...]
+
+
+@lru_cache(maxsize=None)
+def _node_weights(p: int, q: int) -> tuple[float, ...]:
+    # The products 2 c_k**q that kernel_* forms, shared by every n and both
+    # kinds; only the q some plan uses are ever built.
+    return tuple(2.0 * node_power(c, q) for c in make_nodes(p).nodes)
+
+
+def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
+    steps = tuple(
+        (term.kind is KernelKind.SINH,
+         float(term.coeff * _j_term_sign(term.q) if trig else term.coeff),
+         _node_weights(p, term.q))
+        for term in terms
+    )
+    sinh_like, cosh_like = (math.sin, math.cos) if trig else (math.sinh, math.cosh)
+    return _Plan(
+        nodes=make_nodes(p).nodes,
+        odd=sinh_like if any(odd for odd, _, _ in steps) else None,
+        even=cosh_like if not all(odd for odd, _, _ in steps) else None,
+        steps=steps,
+    )
+
+
+# Order 0 is the index-0 cosh kernel alone; _assemble adds the constant 1.
+_ORDER0 = (Term(coeff=1, zexp=0, q=0, kind=KernelKind.COSH),)
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, p: int, trig: bool) -> _Plan:
+    return _compile(derive_expansion(n).terms if n else _ORDER0, p, trig=trig)
+
+
+def _run(plan: _Plan, z: float) -> float:
+    # The kernel Horner recurrence acc <- acc/z + coeff * kernel_q, with
+    # kernel_q = f(z) + sum_k w_qk f(c_k z) summed left to right as kernel_*
+    # sums it, over transcendentals taken once per argument.
+    nodes, odd_fn, even_fn, steps = plan
+    if odd_fn is not None:
+        odd0 = odd_fn(z)
+        odds = [odd_fn(c * z) for c in nodes]
+    if even_fn is not None:
+        even0 = even_fn(z)
+        evens = [even_fn(c * z) for c in nodes]
+    acc = None
+    for sinh_like, coeff, row in steps:
+        if sinh_like:
+            value = odd0
+            for w, f in zip(row, odds):
+                value += w * f
         else:
-            value = cosh_like(term.q, nodes, z)
-        coeff = term.coeff * _j_term_sign(term.q) if trig else term.coeff
-        acc = coeff * value if first else acc / z + coeff * value
-        first = False
+            value = even0
+            for w, f in zip(row, evens):
+                value += w * f
+        acc = coeff * value if acc is None else acc / z + coeff * value
     return acc
 
 
 def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
-    nodes = make_nodes(p)
+    try:
+        acc = _run(_plan(n, p, trig), z)
+    except OverflowError:  # sinh/cosh, or a coefficient beyond binary64
+        acc = math.inf
+    if not math.isfinite(acc):
+        if not math.isfinite(z):
+            raise ValueError(f"argument must be finite, got {z!r}")
+        raise Binary64OverflowError(
+            f"approximant of order n={n} at p={p} overflows binary64 at z={z!r}"
+        )
     if n == 0:
-        cosh_like = kernel_cos if trig else kernel_cosh
-        return (1.0 + cosh_like(0, nodes, z)) / (2 * p)
-    acc = _horner_terms(derive_expansion(n).terms, nodes, z, trig=trig)
+        return (1.0 + acc) / (2 * p)
     if trig and n % 2:
         acc = -acc
     return acc / (2 * p)
@@ -206,10 +285,9 @@ def closed_form_p2(n: int, z: float) -> float:
         raise ValueError(f"argument must be finite, got {z!r}")
     if n >= 2 and z == 0.0:
         raise ValueError("closed forms for n >= 2 divide by z; need z != 0")
-    nodes = make_nodes(2)
     if n == 0:
-        return (1.0 + kernel_cosh(0, nodes, z)) / 4.0
-    return _horner_terms(_P2_PRINTED[n], nodes, z, trig=False) / 4.0
+        return (1.0 + kernel_cosh(0, make_nodes(2), z)) / 4.0
+    return _run(_compile(_P2_PRINTED[n], 2, trig=False), z) / 4.0
 
 
 def _approx_J_complex(n: int, p: int, z: float) -> complex:

@@ -9,8 +9,9 @@ error columns use 2 significant digits unless --full is given.  When the
 oracle is exactly zero the rel_err column carries the absolute error and
 the flag column reads "abs".
 
-Exit codes: 0 success, 2 argument error, 3 domain violation (n >= 4p),
-4 internal consistency failure (identity residual beyond tolerance).
+Exit codes: 0 success, 2 argument error, 3 domain violation (n >= 4p, or
+an approximant beyond binary64 range), 4 internal consistency failure
+(identity residual beyond tolerance).
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ def _parse_floats(text: str) -> list[float]:
             raise ValueError(f"range needs at least 1 step, got {steps}")
         if steps == 1:
             return [lo]
-        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+        # The end is taken as given: the interpolated last point can round
+        # past it (0.05:30:10 would end at 30.000000000000004).
+        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no values in {text!r}")

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from besselhyp import (
     ApproxRequest,
+    Binary64OverflowError,
     DomainError,
     approx_I,
     approx_J,
@@ -42,6 +43,19 @@ class TestRequestValidation:
             ApproxRequest("I", 0, 1, math.inf)
         with pytest.raises(ValueError):
             ApproxRequest("I", 0, 1, 1.0, eps=0.0)
+
+    @pytest.mark.parametrize("n,p", [(1.5, 2), (True, 2), (2.0, 2), ("2", 2),
+                                     (0, 2.0), (0, True), (0, None)])
+    def test_order_and_parameter_must_be_int(self, n, p):
+        with pytest.raises(TypeError):
+            ApproxRequest("I", n, p, 1.0)
+
+    def test_int_subclass_is_an_int(self):
+        class Order(int):
+            pass
+
+        assert evaluate(ApproxRequest("I", Order(2), 2, 1.5)) == evaluate(
+            ApproxRequest("I", 2, 2, 1.5))
 
     def test_default_threshold(self):
         assert ApproxRequest("I", 0, 2, 1.0).eps == 0.25
@@ -105,6 +119,27 @@ class TestApproxI:
         for k in range(1, 2 * p - n + 1):
             next_term *= (half * half) / (k * (n + k))
         assert abs(kernel_val - fallback_val) <= 2.5 * next_term + 1e-13 * abs(kernel_val)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("z", [710.0, 711.0, 720.0, -720.0])
+    def test_hyperbolic_overflow_is_typed(self, z):
+        with pytest.raises(Binary64OverflowError, match="overflow"):
+            approx_I(ApproxRequest("I", 3, 2, z))
+
+    def test_overflow_is_a_domain_and_an_overflow_error(self):
+        for error in (DomainError, OverflowError):
+            with pytest.raises(error):
+                evaluate(ApproxRequest("I", 0, 2, 720.0))
+
+    def test_values_below_the_edge_are_returned(self):
+        # Just below the edge the value is still returned, and finite.
+        assert math.isfinite(approx_I(ApproxRequest("I", 0, 2, 710.0)))
+        assert math.isfinite(approx_I(ApproxRequest("I", 3, 2, 709.0)))
+
+    @pytest.mark.parametrize("z", [710.0, 711.0, 720.0])
+    def test_circular_kind_has_no_edge(self, z):
+        assert math.isfinite(approx_J(ApproxRequest("J", 3, 2, z)))
 
 
 class TestApproxJ:

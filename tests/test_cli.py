@@ -69,6 +69,13 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "-n", "0", "-p", "2", "-z", "100")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("z", ["710", "711", "720"])
+    def test_overflow_is_domain_error(self, capsys, z):
+        code, out, err = run(capsys, "eval", "-n", "3", "-p", "2", "-z", z)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "overflow" in err and "Traceback" not in err
+
     def test_bad_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--kind", "Q", "-n", "0", "-p", "2", "-z", "1")
         assert code == EXIT_USAGE
@@ -104,6 +111,15 @@ class TestTable:
         assert code == EXIT_OK
         zs = [float(r[3]) for r in csv_rows(out)]
         assert zs == pytest.approx([1.0, 1.5, 2.0])
+
+    def test_range_ends_exactly_at_its_end(self, capsys):
+        # 0.05 + 29.95 * 9 / 9 rounds to 30.000000000000004, past the
+        # oracle's |z| <= 30.
+        code, out, _ = run(capsys, "table", "-z", "0.05:30:10")
+        assert code == EXIT_OK
+        rows = csv_rows(out)
+        assert len(rows) == 40
+        assert float(rows[-1][3]) == 30.0
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1,2", "--format", "json")

@@ -9,15 +9,11 @@ from .approximation import (
     ApproxRequest,
     Binary64OverflowError,
     DomainError,
-    approx_I,
-    approx_J,
-    closed_form_p2,
     default_small_z_threshold,
     evaluate,
 )
 from .coefficients import (
     DEFAULT_N_MAX,
-    CoefficientTable,
     Term,
     TermExpansion,
     closed_form_coefficient,
@@ -49,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxRequest",
     "Binary64OverflowError",
-    "CoefficientTable",
     "DEFAULT_N_MAX",
     "DomainError",
     "IDENTITY_TAGS",
@@ -58,10 +53,7 @@ __all__ = [
     "SeriesPolicy",
     "Term",
     "TermExpansion",
-    "approx_I",
-    "approx_J",
     "closed_form_coefficient",
-    "closed_form_p2",
     "default_small_z_threshold",
     "derive_expansion",
     "double_factorial",

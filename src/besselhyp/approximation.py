@@ -3,12 +3,12 @@
 The order-n approximant at accuracy parameter p assembles the order-n
 kernel expansion over the p-node set and divides by 2p:
 
-    approx_I = (1/2p) * sum_q  a(n, q) * z**(q-n) * kernel_q(z)
+    I_n ~ (1/2p) * sum_q  a(n, q) * z**(q-n) * kernel_q(z)
 
 with the index-0 case (1/2p) * (1 + cosh-kernel_0(z)), the constant added
 explicitly because the kernel itself carries none.  The circular (J)
-variant swaps in sin/cos kernels with the sign pattern induced by rotating
-the argument onto the imaginary axis.
+variant is the same assembly at the rotated argument: sin/cos kernels, and
+on each coefficient the sign that rotation gives its term.
 
 The construction reproduces the target power series exactly for all orders
 strictly below 4p - n, so it needs n < 4p; the leading error term scales
@@ -26,14 +26,13 @@ its results equal theirs bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .coefficients import Term, derive_expansion
-from .kernels import KernelKind, kernel_cosh, make_nodes, node_power
+from .kernels import KernelKind, make_nodes, node_power
 
 
 class DomainError(ValueError):
@@ -137,9 +136,9 @@ class _Plan(NamedTuple):
     """One term list compiled against one node set.
 
     ``steps`` holds, per term in ascending q: whether it is sinh-like, its
-    coefficient as a float (rotation sign applied for the circular kind) and
-    its node weights 2 c_k**q.  ``odd``/``even`` are the sinh-like and
-    cosh-like functions, or None where no term uses that parity.
+    coefficient as a float and its node weights 2 c_k**q.  ``odd``/``even``
+    are the sinh-like and cosh-like functions, or None where no term uses
+    that parity.
     """
 
     nodes: tuple[float, ...]
@@ -157,9 +156,7 @@ def _node_weights(p: int, q: int) -> tuple[float, ...]:
 
 def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
     steps = tuple(
-        (term.kind is KernelKind.SINH,
-         float(term.coeff * _j_term_sign(term.q) if trig else term.coeff),
-         _node_weights(p, term.q))
+        (term.kind is KernelKind.SINH, float(term.coeff), _node_weights(p, term.q))
         for term in terms
     )
     sinh_like, cosh_like = (math.sin, math.cos) if trig else (math.sinh, math.cosh)
@@ -172,12 +169,18 @@ def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
 
 
 # Order 0 is the index-0 cosh kernel alone; _assemble adds the constant 1.
-_ORDER0 = (Term(coeff=1, zexp=0, q=0, kind=KernelKind.COSH),)
+_ORDER0 = (Term(coeff=1, q=0, kind=KernelKind.COSH),)
 
 
 @lru_cache(maxsize=None)
 def _plan(n: int, p: int, trig: bool) -> _Plan:
-    return _compile(derive_expansion(n).terms if n else _ORDER0, p, trig=trig)
+    terms = derive_expansion(n).terms if n else _ORDER0
+    if trig:
+        # Rotating z onto the imaginary axis gives the index-q term the sign
+        # _j_term_sign(q) and the whole sum the factor (-1)**n, which rides on
+        # every coefficient because negation commutes with rounding.
+        terms = [Term((-1) ** n * _j_term_sign(t.q) * t.coeff, t.q, t.kind) for t in terms]
+    return _compile(terms, p, trig=trig)
 
 
 def _run(plan: _Plan, z: float) -> float:
@@ -218,101 +221,17 @@ def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
         )
     if n == 0:
         return (1.0 + acc) / (2 * p)
-    if trig and n % 2:
-        acc = -acc
     return acc / (2 * p)
 
 
-def approx_I(req: ApproxRequest) -> float:
-    """Evaluate the hyperbolic-kernel approximant of I_n.
+def evaluate(req: ApproxRequest) -> float:
+    """Evaluate the approximant of I_n (kind "I") or J_n (kind "J").
 
     Uses the kernel assembly for |z| >= eps and the truncated series with
-    2p - n nonzero terms below it.
+    2p - n nonzero terms below it.  The kind only picks sinh/cosh or sin/cos
+    and, through the cached plan, the sign pattern of the coefficients.
     """
-    if req.kind != "I":
-        raise ValueError(f"approx_I needs kind='I', got {req.kind!r}")
+    trig = req.kind == "J"
     if abs(req.z) < req.eps:
-        return _maclaurin_series(req.n, req.z, 2 * req.p - req.n, alternating=False)
-    return _assemble(req.n, req.p, req.z, trig=False)
-
-
-def approx_J(req: ApproxRequest) -> float:
-    """Evaluate the circular-kernel approximant of J_n.
-
-    Same assembly as approx_I with sin/cos kernels; each index-q term picks
-    up the rotation sign and the whole sum the factor (-1)**n.
-    """
-    if req.kind != "J":
-        raise ValueError(f"approx_J needs kind='J', got {req.kind!r}")
-    if abs(req.z) < req.eps:
-        return _maclaurin_series(req.n, req.z, 2 * req.p - req.n, alternating=True)
-    return _assemble(req.n, req.p, req.z, trig=True)
-
-
-def evaluate(req: ApproxRequest) -> float:
-    """Dispatch on the request kind."""
-    return approx_I(req) if req.kind == "I" else approx_J(req)
-
-
-# Printed two-node closed forms, hard-coded rather than derived, so they can
-# lock the derivation down.  The order-3 form counts its cosh combination
-# once (coefficient -3); the assembled expansion admits exactly one such
-# term.
-_P2_PRINTED: dict[int, tuple[Term, ...]] = {
-    1: (Term(1, -1, 1, KernelKind.SINH),),
-    2: (
-        Term(-1, -3, 1, KernelKind.SINH),
-        Term(1, -2, 2, KernelKind.COSH),
-    ),
-    3: (
-        Term(3, -5, 1, KernelKind.SINH),
-        Term(-3, -4, 2, KernelKind.COSH),
-        Term(1, -3, 3, KernelKind.SINH),
-    ),
-}
-
-
-def closed_form_p2(n: int, z: float) -> float:
-    """Literal two-node (p=2) closed forms for orders 0..3.
-
-    Exists purely as an independent fixture for testing approx_I: the term
-    coefficients are hard-coded literals, while evaluation shares the kernel
-    arithmetic so agreement is exact whenever the coefficients agree.
-    """
-    if n not in (0, 1, 2, 3):
-        raise ValueError(f"closed forms cover orders 0..3, got n={n}")
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z!r}")
-    if n >= 2 and z == 0.0:
-        raise ValueError("closed forms for n >= 2 divide by z; need z != 0")
-    if n == 0:
-        return (1.0 + kernel_cosh(0, make_nodes(2), z)) / 4.0
-    return _run(_compile(_P2_PRINTED[n], 2, trig=False), z) / 4.0
-
-
-def _approx_J_complex(n: int, p: int, z: float) -> complex:
-    """J approximant via the hyperbolic assembly at the rotated argument.
-
-    Internal continuation check: evaluates i**n * (hyperbolic assembly at
-    -i z) in complex arithmetic.  The result must be real up to rounding and
-    must match approx_J; this is what pins the per-term sign pattern.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z!r}")
-    w = complex(0.0, -z)
-    nodes = make_nodes(p)
-    if n == 0:
-        total = cmath.cosh(w)
-        for c in nodes.nodes:
-            total += 2.0 * cmath.cosh(c * w)
-        return (1.0 + total) / (2 * p)
-    acc = complex(0.0, 0.0)
-    first = True
-    for term in derive_expansion(n).terms:
-        fn = cmath.sinh if term.kind is KernelKind.SINH else cmath.cosh
-        value = fn(w)
-        for c in nodes.nodes:
-            value += 2.0 * node_power(c, term.q) * fn(c * w)
-        acc = term.coeff * value if first else acc / w + term.coeff * value
-        first = False
-    return (1j ** n) * acc / (2 * p)
+        return _maclaurin_series(req.n, req.z, 2 * req.p - req.n, alternating=trig)
+    return _assemble(req.n, req.p, req.z, trig=trig)

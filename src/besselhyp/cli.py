@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .analysis import fit_error_slope
-from .approximation import ApproxRequest, DomainError, approx_I, approx_J
+from .approximation import ApproxRequest, DomainError, evaluate
 from .coefficients import derive_expansion
 from .reference import SeriesPolicy, identity_residual, ref_I, ref_J
 
@@ -52,14 +52,13 @@ class EvalReport:
     rel_err_is_abs: bool = False
 
 
-def make_report(kind: str, n: int, p: int, z: float, eps: float | None = None,
-                policy: SeriesPolicy | None = None) -> EvalReport:
+def make_report(kind: str, n: int, p: int, z: float,
+                eps: float | None = None) -> EvalReport:
     req = ApproxRequest(kind=kind, n=n, p=p, z=z, eps=eps)
-    evaluator = approx_I if kind == "I" else approx_J
     start = time.perf_counter_ns()
-    value = evaluator(req)
+    value = evaluate(req)
     elapsed = time.perf_counter_ns() - start
-    oracle = ref_I(n, z, policy) if kind == "I" else ref_J(n, z, policy)
+    oracle = ref_I(n, z) if kind == "I" else ref_J(n, z)
     abs_err = abs(value - oracle)
     if oracle != 0.0:
         return EvalReport(kind, n, p, req.z, value, oracle, abs_err,
@@ -97,7 +96,10 @@ def _emit_reports(reports: list[EvalReport], fmt: str, full: bool) -> None:
 def _parse_floats(text: str) -> list[float]:
     """Comma list ("0.5,1,2") or inclusive range ("a:b:steps")."""
     if ":" in text:
-        lo_s, hi_s, steps_s = text.split(":")
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"a range has the form a:b:steps, got {text!r}")
+        lo_s, hi_s, steps_s = parts
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
         if steps < 1:
             raise ValueError(f"range needs at least 1 step, got {steps}")
@@ -172,7 +174,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     zs = _parse_floats(args.z)
     requests = [ApproxRequest(kind=args.kind, n=args.n, p=args.p, z=z, eps=args.eps)
                 for z in zs]
-    evaluator = approx_I if args.kind == "I" else approx_J
     oracle = ref_I if args.kind == "I" else ref_J
     policy = SeriesPolicy()
 
@@ -180,7 +181,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for _ in range(args.repetitions):
         start = time.perf_counter_ns()
         for req in requests:
-            evaluator(req)
+            evaluate(req)
         approx_samples.append((time.perf_counter_ns() - start) / len(requests))
     oracle_samples = []
     for _ in range(args.repetitions):

@@ -46,10 +46,10 @@ def double_factorial(m: int) -> int:
 
 @dataclass(frozen=True)
 class Term:
-    """One summand: coeff * z**zexp * kernel(q), sinh- or cosh-kind."""
+    """One summand of the order-n expansion: coeff * z**(q - 2n) * kernel(q),
+    sinh- or cosh-kind."""
 
     coeff: int
-    zexp: int
     q: int
     kind: KernelKind
 
@@ -58,9 +58,8 @@ class Term:
 class TermExpansion:
     """Expansion of the order-n operator image, terms ordered by q.
 
-    For order n >= 1 there are exactly n terms, q = 1..n, with
-    zexp = q - 2n, odd q sinh-kind, even q cosh-kind, and the q = n
-    coefficient equal to 1.
+    For order n >= 1 there are exactly n terms, q = 1..n, odd q sinh-kind,
+    even q cosh-kind, and the q = n coefficient equal to 1.
     """
 
     order: int
@@ -80,7 +79,8 @@ def derive_expansion(n: int) -> TermExpansion:
         d/dz [c z^m (sinh q)] = c m z^(m-1) (sinh q) + c z^m (cosh q+1)
 
     followed by a uniform z-exponent shift of -1 for the 1/z factor.  Like
-    terms merge on the key (q, zexp); merged-to-zero coefficients drop.
+    terms merge on the key (q, m), m the z exponent; merged-to-zero
+    coefficients drop.
     """
     if n < 1:
         raise ValueError(f"expansion order must be >= 1, got {n}")
@@ -95,13 +95,12 @@ def derive_expansion(n: int) -> TermExpansion:
             nxt[key] = nxt.get(key, 0) + c
         cur = {k: v for k, v in nxt.items() if v != 0}
 
+    # Structural guarantees of the rewrite; cheap to keep as hard checks.
+    assert sorted(cur) == [(q, q - 2 * n) for q in range(1, n + 1)]
     terms = tuple(
-        Term(coeff=cur[(q, m)], zexp=m, q=q, kind=KernelKind.for_index(q))
+        Term(coeff=cur[(q, m)], q=q, kind=KernelKind.for_index(q))
         for (q, m) in sorted(cur)
     )
-    # Structural guarantees of the rewrite; cheap to keep as hard checks.
-    assert len(terms) == n
-    assert all(t.q == i + 1 and t.zexp == t.q - 2 * n for i, t in enumerate(terms))
     assert terms[-1].coeff == 1
     return TermExpansion(order=n, terms=terms)
 
@@ -113,31 +112,10 @@ def expansion_coefficient(n: int, q: int) -> int:
     return derive_expansion(n).terms[q - 1].coeff
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Triangular table (n, q) -> coefficient, 1 <= q <= n <= n_max.
-
-    Treated as read-only after construction; safe for concurrent lookup.
-    """
-
-    n_max: int
-    entries: dict[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-    def value(self, n: int, q: int) -> int:
-        if not 1 <= q <= n <= self.n_max:
-            raise ValueError(f"(n={n}, q={q}) outside table with n_max={self.n_max}")
-        return self.entries[(n, q)]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.value(n, q) for q in range(1, n + 1))
-
-
-def recurrence_table(n_max: int) -> CoefficientTable:
+def recurrence_table(n_max: int) -> dict[int, tuple[int, ...]]:
     """Build the coefficient triangle without symbolic differentiation.
+
+    Returns rows n = 1..n_max, row n holding a(n, q) for q = 1..n.
 
     Boundary columns come from closed forms (q in {1, 2, n-1, n}); interior
     entries from the two-term recurrence
@@ -159,7 +137,8 @@ def recurrence_table(n_max: int) -> CoefficientTable:
             entries[(n, q)] = entries[(n - 1, q - 1)] - (2 * n - q - 2) * entries[(n - 1, q)]
         entries[(n, n - 1)] = -(n * (n - 1)) // 2
         entries[(n, n)] = 1
-    return CoefficientTable(n_max=n_max, entries=entries)
+    return {n: tuple(entries[(n, q)] for q in range(1, n + 1))
+            for n in range(1, n_max + 1)}
 
 
 def closed_form_coefficient(n: int, q: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 ORACLE_TOL_ENV = "BESSELHYP_ORACLE_TOL"
 
@@ -130,25 +131,22 @@ def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     return acc.value()
 
 
-def _lacunary_I(step: int, z: float, policy: SeriesPolicy) -> float:
-    """sum_{k>=1} I_{step*k}(z), truncated at the policy tolerance."""
+def _lacunary(ref: Callable[[int, float, SeriesPolicy], float], step: int, z: float,
+              policy: SeriesPolicy) -> float:
+    """sum_{k>=1} ref(step*k, z), truncated at the policy tolerance.
+
+    ``ref`` is ref_I or ref_J.  The sum must start within the oracle's
+    orders; past N_MAX it would have no term and read as 0.0.
+    """
+    if step > N_MAX:
+        raise ValueError(
+            f"lacunary sum starts at order {step}, past the oracle's n <= {N_MAX}; "
+            f"the tail at accuracy parameter p needs 4p <= {N_MAX}"
+        )
     acc = 0.0
     k = 1
     while step * k <= N_MAX:
-        term = ref_I(step * k, z, policy)
-        acc += term
-        if term <= policy.tol * max(abs(acc), 1.0):
-            break
-        k += 1
-    return acc
-
-
-def _lacunary_J(step: int, z: float, policy: SeriesPolicy) -> float:
-    """sum_{k>=1} J_{step*k}(z), truncated at the policy tolerance."""
-    acc = 0.0
-    k = 1
-    while step * k <= N_MAX:
-        term = ref_J(step * k, z, policy)
+        term = ref(step * k, z, policy)
         acc += term
         if abs(term) <= policy.tol * max(abs(acc), 1.0):
             break
@@ -160,13 +158,14 @@ def tail_I0(p: int, z: float, policy: SeriesPolicy | None = None) -> float:
     """The lacunary remainder 2 sum_{k>=1} I_{4pk}(z).
 
     This is exactly what separates the order-0 approximant at parameter p
-    from I_0; it is positive for z > 0 and strictly decreasing in p.
+    from I_0; it is positive for z > 0 and strictly decreasing in p.  The
+    oracle's n <= 64 limits it to 4p <= 64.
     """
     policy = policy or SeriesPolicy()
     if p < 1:
         raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
     _validate(0, z)
-    return 2.0 * _lacunary_I(4 * p, z, policy)
+    return 2.0 * _lacunary(ref_I, 4 * p, z, policy)
 
 
 def _averaged_cosh(p: int, z: float) -> float:
@@ -200,21 +199,21 @@ def identity_residual(
     policy = policy or SeriesPolicy()
     _validate(0, z)
     if which == "N2":
-        return math.cosh(z) - (ref_I(0, z, policy) + 2.0 * _lacunary_I(2, z, policy))
+        return math.cosh(z) - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 2, z, policy))
     if which == "N4":
         lhs = math.cosh(0.5 * z) ** 2
-        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary_I(4, z, policy))
+        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 4, z, policy))
     if which == "N8":
         lhs = 0.25 * (1.0 + math.cosh(z) + 2.0 * math.cosh(z / math.sqrt(2.0)))
-        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary_I(8, z, policy))
+        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 8, z, policy))
     if which == "N4P":
         if p is None or p < 1:
             raise ValueError("identity N4P needs an accuracy parameter p >= 1")
-        rhs = ref_I(0, z, policy) + 2.0 * _lacunary_I(4 * p, z, policy)
+        rhs = ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 4 * p, z, policy)
         return _averaged_cosh(p, z) - rhs
     if which == "J4P":
         if p is None or p < 1:
             raise ValueError("identity J4P needs an accuracy parameter p >= 1")
-        rhs = ref_J(0, z, policy) + 2.0 * _lacunary_J(4 * p, z, policy)
+        rhs = ref_J(0, z, policy) + 2.0 * _lacunary(ref_J, 4 * p, z, policy)
         return _averaged_cos(p, z) - rhs
     raise ValueError(f"unknown identity tag {which!r}; expected one of {IDENTITY_TAGS}")

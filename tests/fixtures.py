@@ -1,0 +1,78 @@
+"""Independent fixtures the tests compare the package against.
+
+Neither is part of the package: ``closed_form_p2`` keeps the printed
+two-node closed forms as literals, and ``_approx_J_complex`` reaches J by
+rotating the hyperbolic assembly in complex arithmetic, without the plan's
+sign pattern.
+"""
+
+import cmath
+import math
+
+from besselhyp.approximation import _compile, _run
+from besselhyp.coefficients import Term, derive_expansion
+from besselhyp.kernels import KernelKind, kernel_cosh, make_nodes, node_power
+
+# Printed two-node closed forms, hard-coded rather than derived, so they can
+# lock the derivation down.  The order-3 form counts its cosh combination
+# once (coefficient -3); the assembled expansion admits exactly one such
+# term.
+_P2_PRINTED: dict[int, tuple[Term, ...]] = {
+    1: (Term(1, 1, KernelKind.SINH),),
+    2: (
+        Term(-1, 1, KernelKind.SINH),
+        Term(1, 2, KernelKind.COSH),
+    ),
+    3: (
+        Term(3, 1, KernelKind.SINH),
+        Term(-3, 2, KernelKind.COSH),
+        Term(1, 3, KernelKind.SINH),
+    ),
+}
+
+
+def closed_form_p2(n: int, z: float) -> float:
+    """Literal two-node (p=2) closed forms for orders 0..3.
+
+    Exists purely as an independent fixture for testing the I approximant:
+    the term coefficients are hard-coded literals, while evaluation shares
+    the kernel arithmetic so agreement is exact whenever the coefficients
+    agree.
+    """
+    if n not in (0, 1, 2, 3):
+        raise ValueError(f"closed forms cover orders 0..3, got n={n}")
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z!r}")
+    if n >= 2 and z == 0.0:
+        raise ValueError("closed forms for n >= 2 divide by z; need z != 0")
+    if n == 0:
+        return (1.0 + kernel_cosh(0, make_nodes(2), z)) / 4.0
+    return _run(_compile(_P2_PRINTED[n], 2, trig=False), z) / 4.0
+
+
+def _approx_J_complex(n: int, p: int, z: float) -> complex:
+    """J approximant via the hyperbolic assembly at the rotated argument.
+
+    Continuation check: evaluates i**n * (hyperbolic assembly at -i z) in
+    complex arithmetic.  The result must be real up to rounding and must
+    match the J evaluator; this is what pins the per-term sign pattern.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z!r}")
+    w = complex(0.0, -z)
+    nodes = make_nodes(p)
+    if n == 0:
+        total = cmath.cosh(w)
+        for c in nodes.nodes:
+            total += 2.0 * cmath.cosh(c * w)
+        return (1.0 + total) / (2 * p)
+    acc = complex(0.0, 0.0)
+    first = True
+    for term in derive_expansion(n).terms:
+        fn = cmath.sinh if term.kind is KernelKind.SINH else cmath.cosh
+        value = fn(w)
+        for c in nodes.nodes:
+            value += 2.0 * node_power(c, term.q) * fn(c * w)
+        acc = term.coeff * value if first else acc / w + term.coeff * value
+        first = False
+    return (1j ** n) * acc / (2 * p)

@@ -10,11 +10,9 @@ besselhyp.analysis; everything else runs on the production binary64 path.
 
 from besselhyp import (
     ApproxRequest,
-    approx_I,
-    approx_J,
     closed_form_coefficient,
-    closed_form_p2,
     derive_expansion,
+    evaluate,
     identity_residual,
     recurrence_table,
     ref_I,
@@ -27,7 +25,7 @@ from besselhyp.analysis import (
     fit_error_slope,
     hp_error,
 )
-from besselhyp.approximation import _approx_J_complex
+from fixtures import _approx_J_complex, closed_form_p2
 
 TINY_EPS = 1e-300  # forces the kernel assembly (no small-z fallback)
 
@@ -50,7 +48,7 @@ def test_criterion_1_error_table_reproduction():
     failures = []
     worst = 0.0
     for (n, z), target in sorted(EXPECTED_REL_ERRORS.items()):
-        approx = approx_I(ApproxRequest("I", n, 2, z))
+        approx = evaluate(ApproxRequest("I", n, 2, z))
         oracle = ref_I(n, z)
         rel = (approx - oracle) / oracle
         deviation = abs(rel - target) / target
@@ -68,7 +66,7 @@ def test_criterion_2_coefficient_triple_agreement():
     ok = True
     for n in range(1, 21):
         derived = derive_expansion(n).coefficients()
-        ok = ok and table.row(n) == derived
+        ok = ok and table[n] == derived
         covered = {1, 2, 3, 4, n - 1, n}
         for q in range(1, n + 1):
             if q in covered:
@@ -133,7 +131,7 @@ def test_criterion_6_residual_identity_order0():
     worst = 0.0
     for p in (1, 2, 3):
         for z in (0.5, 1.0, 2.0):
-            gap = approx_I(ApproxRequest("I", 0, p, z)) - ref_I(0, z) - tail_I0(p, z)
+            gap = evaluate(ApproxRequest("I", 0, p, z)) - ref_I(0, z) - tail_I0(p, z)
             worst = max(worst, abs(gap))
     ok = worst < 1e-13
     report(6, ok, f"order-0 approximant minus oracle equals the lacunary tail "
@@ -171,7 +169,7 @@ def test_criterion_8_circular_variant_consistency():
             if n >= 4 * p:
                 continue
             for z in (0.5, 1.0, 2.0, 4.0):
-                real_path = approx_J(ApproxRequest("J", n, p, z, eps=TINY_EPS))
+                real_path = evaluate(ApproxRequest("J", n, p, z, eps=TINY_EPS))
                 rotated = _approx_J_complex(n, p, z)
                 rel = abs(rotated.real - real_path) / abs(real_path)
                 worst_complex = max(worst_complex, rel)
@@ -194,7 +192,7 @@ def test_criterion_9_order3_closed_form_lock():
     worst = 0.0
     for i in range(20):
         z = 0.5 + (6.0 - 0.5) * i / 19
-        assembled = approx_I(ApproxRequest("I", 3, 2, z, eps=TINY_EPS))
+        assembled = evaluate(ApproxRequest("I", 3, 2, z, eps=TINY_EPS))
         literal = closed_form_p2(3, z)
         worst = max(worst, abs(assembled - literal) / abs(literal))
     ok = worst <= 1e-14

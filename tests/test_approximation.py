@@ -10,16 +10,14 @@ from besselhyp import (
     ApproxRequest,
     Binary64OverflowError,
     DomainError,
-    approx_I,
-    approx_J,
-    closed_form_p2,
     default_small_z_threshold,
     evaluate,
     ref_I,
     ref_J,
 )
 from besselhyp.analysis import hp_approx
-from besselhyp.approximation import _approx_J_complex, _assemble, _maclaurin_series
+from besselhyp.approximation import _assemble, _maclaurin_series
+from fixtures import _approx_J_complex, closed_form_p2
 
 TINY_EPS = 1e-300  # forces the kernel assembly everywhere
 
@@ -62,48 +60,37 @@ class TestRequestValidation:
         assert ApproxRequest("I", 3, 2, 1.0).eps == 1.0
         assert default_small_z_threshold(3) == 1.0
 
-    def test_kind_mismatch(self):
-        req = ApproxRequest("J", 0, 2, 1.0)
-        with pytest.raises(ValueError):
-            approx_I(req)
-        with pytest.raises(ValueError):
-            approx_J(ApproxRequest("I", 0, 2, 1.0))
-
-    def test_evaluate_dispatch(self):
-        assert evaluate(ApproxRequest("I", 0, 2, 1.0)) == approx_I(ApproxRequest("I", 0, 2, 1.0))
-        assert evaluate(ApproxRequest("J", 0, 2, 1.0)) == approx_J(ApproxRequest("J", 0, 2, 1.0))
-
 
 class TestApproxI:
     def test_order0_small_p2_cell(self):
-        rel = (approx_I(ApproxRequest("I", 0, 2, 1.0)) - ref_I(0, 1.0)) / ref_I(0, 1.0)
+        rel = (evaluate(ApproxRequest("I", 0, 2, 1.0)) - ref_I(0, 1.0)) / ref_I(0, 1.0)
         assert 1.4e-7 < rel < 1.8e-7
 
     def test_odd_order_vanishes_at_zero(self):
-        assert approx_I(ApproxRequest("I", 1, 2, 0.0)) == 0.0
+        assert evaluate(ApproxRequest("I", 1, 2, 0.0)) == 0.0
 
     def test_order0_at_zero(self):
-        assert approx_I(ApproxRequest("I", 0, 2, 0.0)) == 1.0
+        assert evaluate(ApproxRequest("I", 0, 2, 0.0)) == 1.0
 
     def test_order2_p2_cell(self):
-        a = approx_I(ApproxRequest("I", 2, 2, 2.0))
+        a = evaluate(ApproxRequest("I", 2, 2, 2.0))
         assert a == closed_form_p2(2, 2.0)
         rel = (a - ref_I(2, 2.0)) / ref_I(2, 2.0)
         assert 0.9e-3 < rel < 1.2e-3
 
     def test_p1_is_the_averaged_cosh(self):
         for z in (0.5, 1.5, 3.0):
-            assert approx_I(ApproxRequest("I", 0, 1, z)) == (1.0 + math.cosh(z)) / 2.0
+            assert evaluate(ApproxRequest("I", 0, 1, z)) == (1.0 + math.cosh(z)) / 2.0
 
     def test_fallback_matches_series(self):
         # Below the threshold the value is the truncated series itself.
-        val = approx_I(ApproxRequest("I", 2, 2, 0.01))
+        val = evaluate(ApproxRequest("I", 2, 2, 0.01))
         assert val == _maclaurin_series(2, 0.01, 2, alternating=False)
         assert val == pytest.approx(ref_I(2, 0.01), rel=1e-12)
 
     def test_fallback_empty_when_no_matched_terms(self):
         # 2p - n <= 0 leaves nothing to sum.
-        assert approx_I(ApproxRequest("I", 5, 2, 0.1)) == 0.0
+        assert evaluate(ApproxRequest("I", 5, 2, 0.1)) == 0.0
 
     @pytest.mark.parametrize("n,p", [(0, 1), (0, 2), (1, 2), (2, 3), (3, 2), (3, 4)])
     def test_crossover_continuity(self, n, p):
@@ -125,7 +112,7 @@ class TestOverflow:
     @pytest.mark.parametrize("z", [710.0, 711.0, 720.0, -720.0])
     def test_hyperbolic_overflow_is_typed(self, z):
         with pytest.raises(Binary64OverflowError, match="overflow"):
-            approx_I(ApproxRequest("I", 3, 2, z))
+            evaluate(ApproxRequest("I", 3, 2, z))
 
     def test_overflow_is_a_domain_and_an_overflow_error(self):
         for error in (DomainError, OverflowError):
@@ -134,38 +121,35 @@ class TestOverflow:
 
     def test_values_below_the_edge_are_returned(self):
         # Just below the edge the value is still returned, and finite.
-        assert math.isfinite(approx_I(ApproxRequest("I", 0, 2, 710.0)))
-        assert math.isfinite(approx_I(ApproxRequest("I", 3, 2, 709.0)))
+        assert math.isfinite(evaluate(ApproxRequest("I", 0, 2, 710.0)))
+        assert math.isfinite(evaluate(ApproxRequest("I", 3, 2, 709.0)))
 
     @pytest.mark.parametrize("z", [710.0, 711.0, 720.0])
     def test_circular_kind_has_no_edge(self, z):
-        assert math.isfinite(approx_J(ApproxRequest("J", 3, 2, z)))
+        assert math.isfinite(evaluate(ApproxRequest("J", 3, 2, z)))
 
 
 class TestApproxJ:
     def test_order0_at_zero(self):
-        assert approx_J(ApproxRequest("J", 0, 2, 0.0)) == 1.0
+        assert evaluate(ApproxRequest("J", 0, 2, 0.0)) == 1.0
 
     def test_order0_p3(self):
-        rel = abs(approx_J(ApproxRequest("J", 0, 3, 1.0)) - ref_J(0, 1.0)) / ref_J(0, 1.0)
+        rel = abs(evaluate(ApproxRequest("J", 0, 3, 1.0)) - ref_J(0, 1.0)) / ref_J(0, 1.0)
         assert rel < 1e-9
 
     def test_order1_p2(self):
-        rel = abs(approx_J(ApproxRequest("J", 1, 2, 1.0)) - ref_J(1, 1.0)) / abs(ref_J(1, 1.0))
+        rel = abs(evaluate(ApproxRequest("J", 1, 2, 1.0)) - ref_J(1, 1.0)) / abs(ref_J(1, 1.0))
         assert rel < 1e-5
 
     def test_fallback_matches_series(self):
-        val = approx_J(ApproxRequest("J", 2, 3, 0.01))
+        val = evaluate(ApproxRequest("J", 2, 3, 0.01))
         assert val == _maclaurin_series(2, 0.01, 4, alternating=True)
         assert val == pytest.approx(ref_J(2, 0.01), rel=1e-12)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
     def test_complex_path_consistency(self, n, p, z):
-        if n >= 4 * p:
-            pytest.skip("outside the matched-series domain")
-        real_path = approx_J(ApproxRequest("J", n, p, z, eps=TINY_EPS))
+        real_path = evaluate(ApproxRequest("J", n, p, z, eps=TINY_EPS))
         rotated = _approx_J_complex(n, p, z)
         assert rotated.imag == 0.0
         assert rotated.real == pytest.approx(real_path, rel=1e-12)
@@ -180,8 +164,8 @@ class TestParity:
     def test_hyperbolic(self, n, p, z):
         if n >= 4 * p:
             return
-        plus = approx_I(ApproxRequest("I", n, p, z))
-        minus = approx_I(ApproxRequest("I", n, p, -z))
+        plus = evaluate(ApproxRequest("I", n, p, z))
+        minus = evaluate(ApproxRequest("I", n, p, -z))
         assert minus == (plus if n % 2 == 0 else -plus)
 
     @given(
@@ -192,8 +176,8 @@ class TestParity:
     def test_circular(self, n, p, z):
         if n >= 4 * p:
             return
-        plus = approx_J(ApproxRequest("J", n, p, z))
-        minus = approx_J(ApproxRequest("J", n, p, -z))
+        plus = evaluate(ApproxRequest("J", n, p, z))
+        minus = evaluate(ApproxRequest("J", n, p, -z))
         assert minus == (plus if n % 2 == 0 else -plus)
 
 
@@ -205,12 +189,12 @@ class TestClosedForms:
         # (1/4)(sinh 1 + sqrt 2 sinh(1/sqrt 2)), frozen from a 40-digit evaluation.
         got = closed_form_p2(1, 1.0)
         assert got == pytest.approx(0.5651607087291022, rel=1e-15)
-        assert got == approx_I(ApproxRequest("I", 1, 2, 1.0))  # bit-for-bit
+        assert got == evaluate(ApproxRequest("I", 1, 2, 1.0))  # bit-for-bit
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 4.0, 6.0])
     def test_agrees_with_assembly(self, n, z):
-        assert closed_form_p2(n, z) == approx_I(ApproxRequest("I", n, 2, z, eps=TINY_EPS))
+        assert closed_form_p2(n, z) == evaluate(ApproxRequest("I", n, 2, z, eps=TINY_EPS))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,5 +227,5 @@ class TestClosedForms:
         z = 2.0
         nodes_term = math.cosh(z) + math.cosh(z / math.sqrt(2))
         doubled = closed_form_p2(3, z) - (3.0 / z) * nodes_term / 4.0
-        rel = abs(doubled - approx_I(ApproxRequest("I", 3, 2, z))) / closed_form_p2(3, z)
+        rel = abs(doubled - evaluate(ApproxRequest("I", 3, 2, z))) / closed_form_p2(3, z)
         assert rel > 1e-1

@@ -191,6 +191,12 @@ class TestIdentities:
         assert code == EXIT_CONSISTENCY
         assert "tolerance" in err
 
+    def test_tail_past_the_oracle_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "identities", "-p", "17")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "4p <= 64" in err
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):
@@ -204,3 +210,9 @@ class TestParsing:
     def test_empty_value_list(self, capsys):
         code, _, _ = run(capsys, "table", "-z", ",")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["1:2", "1:2:3:4"])
+    def test_range_needs_three_fields(self, capsys, text):
+        code, _, err = run(capsys, "table", "-z", text)
+        assert code == EXIT_USAGE
+        assert "a:b:steps" in err and "unpack" not in err

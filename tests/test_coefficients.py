@@ -16,14 +16,14 @@ from besselhyp import (
     recurrence_table,
 )
 
-# Printed expansions for orders 1..4: (coeff, zexp, q, kind) per term.
+# Printed expansions for orders 1..4: (coeff, q, kind) per term.
 PRINTED = {
-    1: [(1, -1, 1, KernelKind.SINH)],
-    2: [(-1, -3, 1, KernelKind.SINH), (1, -2, 2, KernelKind.COSH)],
-    3: [(3, -5, 1, KernelKind.SINH), (-3, -4, 2, KernelKind.COSH),
-        (1, -3, 3, KernelKind.SINH)],
-    4: [(-15, -7, 1, KernelKind.SINH), (15, -6, 2, KernelKind.COSH),
-        (-6, -5, 3, KernelKind.SINH), (1, -4, 4, KernelKind.COSH)],
+    1: [(1, 1, KernelKind.SINH)],
+    2: [(-1, 1, KernelKind.SINH), (1, 2, KernelKind.COSH)],
+    3: [(3, 1, KernelKind.SINH), (-3, 2, KernelKind.COSH),
+        (1, 3, KernelKind.SINH)],
+    4: [(-15, 1, KernelKind.SINH), (15, 2, KernelKind.COSH),
+        (-6, 3, KernelKind.SINH), (1, 4, KernelKind.COSH)],
 }
 
 
@@ -41,7 +41,7 @@ class TestDoubleFactorial:
 class TestDeriveExpansion:
     @pytest.mark.parametrize("n", sorted(PRINTED))
     def test_matches_printed_low_orders(self, n):
-        got = [(t.coeff, t.zexp, t.q, t.kind) for t in derive_expansion(n).terms]
+        got = [(t.coeff, t.q, t.kind) for t in derive_expansion(n).terms]
         assert got == PRINTED[n]
 
     def test_rejects_nonpositive_order(self):
@@ -54,7 +54,6 @@ class TestDeriveExpansion:
         assert len(exp.terms) == n
         for i, term in enumerate(exp.terms):
             assert term.q == i + 1
-            assert term.zexp == term.q - 2 * n
             assert term.kind is (KernelKind.SINH if term.q % 2 else KernelKind.COSH)
         assert exp.terms[-1].coeff == 1
 
@@ -83,17 +82,17 @@ class TestExpansionCoefficient:
 class TestRecurrenceTable:
     def test_low_rows(self):
         table = recurrence_table(4)
-        assert table.row(1) == (1,)
-        assert table.row(2) == (-1, 1)
-        assert table.row(3) == (3, -3, 1)
-        assert table.row(4) == (-15, 15, -6, 1)
+        assert table[1] == (1,)
+        assert table[2] == (-1, 1)
+        assert table[3] == (3, -3, 1)
+        assert table[4] == (-15, 15, -6, 1)
 
     def test_n_max_two(self):
-        assert recurrence_table(2).row(2) == (-1, 1)
+        assert recurrence_table(2)[2] == (-1, 1)
 
     def test_row8_third_column(self):
         # (-1)**9 * (8-2) * (2*8-5)!! = -6 * 10395
-        assert recurrence_table(8).value(8, 3) == -62370
+        assert recurrence_table(8)[8][2] == -62370
         assert expansion_coefficient(8, 3) == -62370
 
     def test_rejects_bad_n_max(self):
@@ -102,13 +101,13 @@ class TestRecurrenceTable:
 
     def test_out_of_table_lookup(self):
         table = recurrence_table(4)
-        with pytest.raises(ValueError):
-            table.value(5, 1)
+        with pytest.raises(KeyError):
+            table[5]
 
     @pytest.mark.parametrize("n", range(1, DEFAULT_N_MAX + 1))
     def test_agrees_with_derivation(self, n):
         table = recurrence_table(DEFAULT_N_MAX)
-        assert table.row(n) == derive_expansion(n).coefficients()
+        assert table[n] == derive_expansion(n).coefficients()
 
 
 class TestClosedFormCoefficient:

@@ -115,6 +115,16 @@ class TestTail:
         with pytest.raises(ValueError):
             tail_I0(0, 1.0)
 
+    def test_tail_past_the_oracle_raises(self):
+        # 4p = 64 is the last order the oracle sums; past it the tail used
+        # to read 0.0 where 2 I_68(30) is about 1.8e-15.
+        assert tail_I0(16, 30.0) > 0.0
+        with pytest.raises(ValueError, match=r"4p <= 64"):
+            tail_I0(17, 30.0)
+        for tag in ("N4P", "J4P"):
+            with pytest.raises(ValueError, match=r"4p <= 64"):
+                identity_residual(tag, 1.0, p=17)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])

@@ -9,8 +9,9 @@ ways:
 
 * exact Maclaurin coefficients of the approximant over rational node
   squares (available for p <= 3, which covers the tested pairs), and
-* mpmath arbitrary-precision evaluation of both the assembly and the
-  reference series, for error measurements and log-log slope fits.
+* arbitrary-precision evaluation of both the assembly (in mpmath) and the
+  reference series (in fixed-point integers), for error measurements and
+  log-log slope fits.
 
 Neither path touches any library Bessel implementation; the reference
 stays the same ascending series, just in wider arithmetic.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -88,24 +90,56 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
 def first_mismatch_order(n: int, p: int, search_limit: int | None = None) -> int:
     """Lowest order whose approximant coefficient differs from the I_n series.
 
-    The construction predicts exactly 4p - n; the scan stops with an error
-    slightly beyond that, so a structurally broken build cannot loop.
+    The matched moments of the nodes predict 4p - n, and that is the answer
+    for n <= 2p.  For n > 2p every order below n matches as well (both
+    series vanish there), and the first mismatch is the leading z**n term:
+    the exact scan gives max(4p - n, n) for every n < 4p, p <= 3.  The scan
+    stops with an error a little beyond that, so a structurally broken build
+    cannot loop.
     """
-    limit = (4 * p - n) + 4 if search_limit is None else search_limit
+    limit = max(4 * p - n, n) + 4 if search_limit is None else search_limit
     for t in range(limit + 1):
         if approximant_series_coeff(n, p, t) != bessel_i_series_coeff(n, t):
             return t
     raise RuntimeError(f"no mismatch found up to order {limit} for (n={n}, p={p})")
 
 
-def _hp_nodes(p: int) -> list[mp.mpf]:
-    return [mp.cos(mp.pi * k / (2 * p)) for k in range(1, p)]
+#: Extra fraction bits of the fixed-point reference sum over the working
+#: precision; they absorb the truncation of up to ``_REF_MAX_TERMS`` terms.
+_REF_GUARD_BITS = 40
+_REF_MAX_TERMS = 1000
 
 
-def _hp_kernel(fn, q: int, nodes: list[mp.mpf], z: mp.mpf) -> mp.mpf:
-    total = fn(z)
-    for c in nodes:
-        total += 2 * c**q * fn(c * z)
+def _check_dps(dps: int) -> None:
+    if dps < 1:
+        raise ValueError(f"dps must be >= 1, got {dps}")
+
+
+def _finite_mpf(z) -> mp.mpf:
+    zz = mp.mpf(z)
+    if not mp.isfinite(zz):
+        raise ValueError(f"argument must be finite, got {z!r}")
+    return zz
+
+
+@lru_cache(maxsize=128)
+def _hp_nodes(p: int, prec: int) -> tuple[tuple[mp.mpf, ...], tuple[tuple[mp.mpf, ...], ...]]:
+    # Interior nodes c_k = cos(k pi / 2p), k = 1..p-1, at ``prec`` bits, and
+    # the kernel weights rows[q] = (2 c_k**q)_k for q = 0..4p-1, each row
+    # the previous one times the nodes.
+    with mp.workprec(prec):
+        nodes = tuple(mp.cos(mp.pi * k / (2 * p)) for k in range(1, p))
+        rows = [tuple(mp.mpf(2) for _ in nodes)]
+        for _ in range(1, 4 * p):
+            rows.append(tuple(w * c for w, c in zip(rows[-1], nodes)))
+    return nodes, tuple(rows)
+
+
+def _hp_kernel(values: list[mp.mpf], weights: tuple[mp.mpf, ...]) -> mp.mpf:
+    # kernel_q = f(z) + sum_k 2 c_k**q f(c_k z), from f taken once per argument.
+    total = values[0]
+    for w, f in zip(weights, values[1:]):
+        total += w * f
     return total
 
 
@@ -115,56 +149,72 @@ def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     Wide arithmetic absorbs the small-z cancellation, so the assembly is
     evaluated directly at any z != 0; exact integer coefficients and mpmath
     nodes make this a faithful image of the mathematical construction.
+    sinh and cosh (sin and cos) are each taken once per argument z, c_k z,
+    so a call costs at most 2p transcendentals; the kernels are summed from
+    them and assembled by the same Horner recurrence as the per-term form.
     """
     if kind not in ("I", "J"):
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
     if n >= 4 * p:
         raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
+    _check_dps(dps)
     with mp.workdps(dps):
-        zz = mp.mpf(z)
-        nodes = _hp_nodes(p)
-        sinh_like = mp.sin if kind == "J" else mp.sinh
-        cosh_like = mp.cos if kind == "J" else mp.cosh
+        zz = _finite_mpf(z)
+        nodes, rows = _hp_nodes(p, mp.mp.prec)
+        trig = kind == "J"
+        args = [zz] + [c * zz for c in nodes]
+        cosh_like = mp.cos if trig else mp.cosh
         if n == 0:
-            return (1 + _hp_kernel(cosh_like, 0, nodes, zz)) / (2 * p)
+            return (1 + _hp_kernel([cosh_like(a) for a in args], rows[0])) / (2 * p)
         if zz == 0:
             return mp.mpf(0)
+        sinh_like = mp.sin if trig else mp.sinh
+        odd = [sinh_like(a) for a in args]
+        even = [cosh_like(a) for a in args] if n >= 2 else odd
         acc = mp.mpf(0)
-        first = True
         for term in derive_expansion(n).terms:
-            fn = sinh_like if term.kind is KernelKind.SINH else cosh_like
-            value = _hp_kernel(fn, term.q, nodes, zz)
-            coeff = term.coeff * _j_term_sign(term.q) if kind == "J" else term.coeff
-            acc = coeff * value if first else acc / zz + coeff * value
-            first = False
-        if kind == "J" and n % 2:
+            value = _hp_kernel(odd if term.kind is KernelKind.SINH else even, rows[term.q])
+            coeff = term.coeff * _j_term_sign(term.q) if trig else term.coeff
+            acc = coeff * value if term.q == 1 else acc / zz + coeff * value
+        if trig and n % 2:
             acc = -acc
         return acc / (2 * p)
 
 
 def hp_ref(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
-    """Ascending series for I_n or J_n in mpmath arithmetic."""
+    """Ascending series for I_n or J_n, summed in fixed point.
+
+    (z/2)**n / n! * sum_k (+-(z/2)**2)**k / (k! (n+1)_k): the sum runs over
+    Python integers scaled by 2**(prec + guard), with (z/2)**2 taken exactly
+    from the bits of z, so only the common factor is rounded in mpf.  The
+    sum stops once a term is below one unit of the last fixed-point place
+    of max(|sum|, 1); a series that has not got there after
+    ``_REF_MAX_TERMS`` terms raises ``ValueError``.
+    """
     if kind not in ("I", "J"):
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
+    _check_dps(dps)
     with mp.workdps(dps):
-        zz = mp.mpf(z)
-        half = zz / 2
-        term = mp.mpf(1)
-        for i in range(1, n + 1):
-            term *= half / i
-        ratio = half * half
-        if kind == "J":
-            ratio = -ratio
-        total = term
-        cutoff = mp.mpf(10) ** (-(dps + 10))
-        for k in range(1, 1000):
-            term *= ratio / (k * (n + k))
-            total += term
-            if abs(term) <= cutoff * max(abs(total), mp.mpf(1)):
-                break
-        return total
+        zz = _finite_mpf(z)
+        bits = mp.mp.prec + _REF_GUARD_BITS
+        one = 1 << bits
+        man, exp = zz.man_exp  # z = man * 2**exp exactly
+        shift = 2 * exp - 2 + bits
+        # x = (z/2)**2 at scale 2**bits
+        x = man * man << shift if shift >= 0 else (man * man) >> -shift
+        term = total = one
+        # Terms grow while (z/2)**2 > k (n + k); if they still grow at the
+        # cap, the series cannot converge before it.
+        if x >> bits < _REF_MAX_TERMS * (n + _REF_MAX_TERMS):
+            for k in range(1, _REF_MAX_TERMS):
+                term = (term * x >> bits) // (k * (n + k))
+                total += -term if kind == "J" and k % 2 else term
+                if term <= max(abs(total), one) >> bits:
+                    return (zz / 2) ** n / mp.factorial(n) * mp.ldexp(total, -bits)
+        raise ValueError(f"the {kind}_{n} series at z={z} does not converge "
+                         f"within {_REF_MAX_TERMS} terms")
 
 
 def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
@@ -190,6 +240,7 @@ def fit_error_slope(
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    _check_dps(dps)
     zs = np.geomspace(z_lo, z_hi, samples)
     log_z = []
     log_err = []
@@ -197,7 +248,8 @@ def fit_error_slope(
         for z in zs:
             err = abs(hp_error(kind, n, p, float(z), dps=dps))
             if err == 0:
-                raise RuntimeError(f"zero error at z={z}; increase dps")
+                raise ValueError(f"zero error at z={z}: approximant and reference "
+                                 f"agree to all {dps} digits; increase dps (--dps)")
             log_z.append(math.log(float(z)))
             log_err.append(float(mp.log(err)))
     slope, _ = np.polyfit(np.asarray(log_z), np.asarray(log_err), 1)

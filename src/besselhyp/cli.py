@@ -22,6 +22,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .analysis import fit_error_slope
 from .approximation import ApproxRequest, DomainError, evaluate
@@ -304,8 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # the build costs about a millisecond, more than a table row.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

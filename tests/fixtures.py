@@ -1,15 +1,20 @@
 """Independent fixtures the tests compare the package against.
 
-Neither is part of the package: ``closed_form_p2`` keeps the printed
-two-node closed forms as literals, and ``_approx_J_complex`` reaches J by
-rotating the hyperbolic assembly in complex arithmetic, without the plan's
-sign pattern.
+None is part of the package: ``closed_form_p2`` keeps the printed two-node
+closed forms as literals, ``_approx_J_complex`` reaches J by rotating the
+hyperbolic assembly in complex arithmetic, without the plan's sign pattern,
+and ``hp_approx_per_term``/``hp_ref_mpf_loop`` are the straightforward
+mpmath twins (one transcendental per node per term, and the ascending
+series summed in mpf) that the fast twins in ``besselhyp.analysis`` must
+agree with.
 """
 
 import cmath
 import math
 
-from besselhyp.approximation import _compile, _run
+import mpmath as mp
+
+from besselhyp.approximation import _compile, _j_term_sign, _run
 from besselhyp.coefficients import Term, derive_expansion
 from besselhyp.kernels import KernelKind, kernel_cosh, make_nodes, node_power
 
@@ -76,3 +81,72 @@ def _approx_J_complex(n: int, p: int, z: float) -> complex:
         acc = term.coeff * value if first else acc / w + term.coeff * value
         first = False
     return (1j ** n) * acc / (2 * p)
+
+
+def _per_term_nodes(p: int) -> list[mp.mpf]:
+    return [mp.cos(mp.pi * k / (2 * p)) for k in range(1, p)]
+
+
+def _per_term_kernel(fn, q: int, nodes: list[mp.mpf], z: mp.mpf) -> mp.mpf:
+    total = fn(z)
+    for c in nodes:
+        total += 2 * c**q * fn(c * z)
+    return total
+
+
+def hp_approx_per_term(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
+    """Arbitrary-precision evaluation of the kernel assembly (no fallback).
+
+    Wide arithmetic absorbs the small-z cancellation, so the assembly is
+    evaluated directly at any z != 0; exact integer coefficients and mpmath
+    nodes make this a faithful image of the mathematical construction.
+    """
+    if kind not in ("I", "J"):
+        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+    if n >= 4 * p:
+        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
+    with mp.workdps(dps):
+        zz = mp.mpf(z)
+        nodes = _per_term_nodes(p)
+        sinh_like = mp.sin if kind == "J" else mp.sinh
+        cosh_like = mp.cos if kind == "J" else mp.cosh
+        if n == 0:
+            return (1 + _per_term_kernel(cosh_like, 0, nodes, zz)) / (2 * p)
+        if zz == 0:
+            return mp.mpf(0)
+        acc = mp.mpf(0)
+        first = True
+        for term in derive_expansion(n).terms:
+            fn = sinh_like if term.kind is KernelKind.SINH else cosh_like
+            value = _per_term_kernel(fn, term.q, nodes, zz)
+            coeff = term.coeff * _j_term_sign(term.q) if kind == "J" else term.coeff
+            acc = coeff * value if first else acc / zz + coeff * value
+            first = False
+        if kind == "J" and n % 2:
+            acc = -acc
+        return acc / (2 * p)
+
+
+def hp_ref_mpf_loop(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
+    """Ascending series for I_n or J_n in mpmath arithmetic."""
+    if kind not in ("I", "J"):
+        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    with mp.workdps(dps):
+        zz = mp.mpf(z)
+        half = zz / 2
+        term = mp.mpf(1)
+        for i in range(1, n + 1):
+            term *= half / i
+        ratio = half * half
+        if kind == "J":
+            ratio = -ratio
+        total = term
+        cutoff = mp.mpf(10) ** (-(dps + 10))
+        for k in range(1, 1000):
+            term *= ratio / (k * (n + k))
+            total += term
+            if abs(term) <= cutoff * max(abs(total), mp.mpf(1)):
+                break
+        return total

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from besselhyp import cli
 from besselhyp.cli import (
     CSV_HEADER,
     EXIT_CONSISTENCY,
@@ -152,6 +153,20 @@ class TestScaling:
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--samples", "4")
         assert code == EXIT_USAGE
 
+    def test_too_few_digits_is_usage_error(self, capsys):
+        # At 5 digits the measured error is exactly zero.
+        code, out, err = run(capsys, "scaling", "-n", "0", "-p", "1", "--dps", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--dps" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("dps", ["0", "-3"])
+    def test_nonpositive_dps_is_usage_error(self, capsys, dps):
+        code, out, err = run(capsys, "scaling", "-n", "0", "-p", "1", "--dps", dps)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "dps" in err
+
 
 class TestBench:
     def test_summary_row(self, capsys):
@@ -216,3 +231,21 @@ class TestParsing:
         code, _, err = run(capsys, "table", "-z", text)
         assert code == EXIT_USAGE
         assert "a:b:steps" in err and "unpack" not in err
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        # Subcommands and flags of one call must not leak into the next: a
+        # run of calls on the shared parser prints what fresh parsers print.
+        calls = [
+            ("scaling", "--kind", "J", "-n", "1", "-p", "1", "--samples", "8",
+             "--dps", "30", "--format", "json"),
+            ("scaling", "-n", "0", "-p", "1", "--samples", "8"),
+            ("identities", "-p", "2", "--format", "json"),
+            ("coeffs", "--n-max", "3"),
+        ]
+        shared = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._shared_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert all(code == EXIT_OK for code, _, _ in shared)

@@ -155,7 +155,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise DomainError(f"order n={args.n} needs n < 4p = {4 * args.p}")
     slope = fit_error_slope(args.kind, args.n, args.p, args.z_min, args.z_max,
                             args.samples, dps=args.dps)
-    expected = 4 * args.p - args.n
+    # The approximant first departs from I_n at z**(4p - n), or at its own
+    # leading term z**n once n > 2p.
+    expected = max(4 * args.p - args.n, args.n)
     if args.format == "json":
         print(json.dumps({
             "kind": args.kind, "n": args.n, "p": args.p,
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-p", type=int, required=True, help="accuracy parameter")
     p_eval.add_argument("-z", type=float, required=True, help="argument")
     p_eval.add_argument("--eps", type=float, default=None,
-                        help="small-|z| threshold override")
+                        help="|z| below which the series is forced")
     _add_format_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_scaling = sub.add_parser("scaling",
-                               help="log-log error slope against the predicted 4p-n")
+                               help="log-log error slope against the predicted max(4p-n, n)")
     p_scaling.add_argument("--kind", choices=("I", "J"), default="I")
     p_scaling.add_argument("-n", type=int, required=True)
     p_scaling.add_argument("-p", type=int, required=True)

@@ -5,8 +5,11 @@ from-scratch ascending power series in binary64 with compensated summation,
 never a platform Bessel routine.  Library implementations may appear in the
 test suite as an additional cross-check, but the oracle is this one.
 
-Validity is capped at |z| <= 30 and n <= 64: within that range the series
-converges quickly and round-off dominates long before cancellation does.
+Arguments are capped at |z| <= 30 and orders at n <= 64.  Against the
+fixed-point series ``analysis.hp_ref``, the largest relative error over
+n <= 64 of ref_I, a sum of positive terms, is below 1e-15 at z = 10, 20
+and 30.  ref_J's alternating sum cancels as |z| grows: its largest is
+1.6e-12 at z = 10, 7.1e-9 at z = 20 and 5.3e-4 at z = 30.
 """
 
 from __future__ import annotations
@@ -56,27 +59,6 @@ class SeriesPolicy:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulator."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.carry += (self.total - t) + x
-        else:
-            self.carry += (x - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.carry
-
-
 def _validate(n: int, z: float) -> None:
     if not 0 <= n <= N_MAX:
         raise ValueError(f"oracle order must satisfy 0 <= n <= {N_MAX}, got {n}")
@@ -97,16 +79,22 @@ def ref_I(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
     policy = policy or SeriesPolicy()
     _validate(n, z)
+    tol = policy.tol
     term = _leading_term(n, z)
-    acc = _CompensatedSum()
-    acc.add(term)
+    # Neumaier-compensated sum of the terms, in locals.
+    total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = 0.25 * z * z
     for k in range(1, policy.max_terms):
         term *= ratio / (k * (n + k))
-        acc.add(term)
-        if abs(term) <= policy.tol * abs(acc.value()):
+        t = total + term
+        if abs(total) >= abs(term):
+            carry += (total - t) + term
+        else:
+            carry += (term - t) + total
+        total = t
+        if abs(term) <= tol * abs(total + carry):
             break
-    return acc.value()
+    return total + carry
 
 
 def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
@@ -117,18 +105,24 @@ def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     """
     policy = policy or SeriesPolicy()
     _validate(n, z)
+    tol = policy.tol
     term = _leading_term(n, z)
-    acc = _CompensatedSum()
-    acc.add(term)
+    # Neumaier-compensated sum of the terms, in locals.
+    total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = -0.25 * z * z
     for k in range(1, policy.max_terms):
         term *= ratio / (k * (n + k))
-        acc.add(term)
-        bound = policy.tol * abs(acc.value())
+        t = total + term
+        if abs(total) >= abs(term):
+            carry += (total - t) + term
+        else:
+            carry += (term - t) + total
+        total = t
+        bound = tol * abs(total + carry)
         lookahead = abs(term * ratio) / ((k + 1) * (n + k + 1))
         if abs(term) <= bound and lookahead <= bound:
             break
-    return acc.value()
+    return total + carry
 
 
 def _lacunary(ref: Callable[[int, float, SeriesPolicy], float], step: int, z: float,

@@ -6,7 +6,11 @@ hyperbolic assembly in complex arithmetic, without the plan's sign pattern,
 and ``hp_approx_per_term``/``hp_ref_mpf_loop`` are the straightforward
 mpmath twins (one transcendental per node per term, and the ascending
 series summed in mpf) that the fast twins in ``besselhyp.analysis`` must
-agree with.
+agree with.  ``spherical_approximant`` builds the approximant from mpmath's
+half-integer Bessel functions, apart from the repository's algebra, and
+``ref_I_accumulator``/``ref_J_accumulator`` keep the oracle loops that sum
+through a Neumaier accumulator object, which ``ref_I``/``ref_J`` must match
+bit for bit.
 """
 
 import cmath
@@ -17,6 +21,7 @@ import mpmath as mp
 from besselhyp.approximation import _compile, _j_term_sign, _run
 from besselhyp.coefficients import Term, derive_expansion
 from besselhyp.kernels import KernelKind, kernel_cosh, make_nodes, node_power
+from besselhyp.reference import SeriesPolicy, _leading_term, _validate
 
 # Printed two-node closed forms, hard-coded rather than derived, so they can
 # lock the derivation down.  The order-3 form counts its cosh combination
@@ -150,3 +155,90 @@ def hp_ref_mpf_loop(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
             if abs(term) <= cutoff * max(abs(total), mp.mpf(1)):
                 break
         return total
+
+
+def spherical_approximant(kind: str, n: int, p: int, z, dps: int = 30):
+    """The approximant and the sum of its node terms' magnitudes, in mpmath.
+
+    For n >= 1, A_n(z) = (z/2p) [f(z) + 2 sum_k c_k**(n+1) f(c_k z)] with
+    f = i_{n-1} or j_{n-1}, the spherical Bessel functions, taken here as
+    sqrt(pi/2x) I_{n-1/2}(x) or J_{n-1/2}(x); A_0 is the averaged form
+    (1 + cosh z + 2 sum_k cosh(c_k z)) / 2p (cos for J).  Returns
+    ``(A_n(z), S)`` with S the same sum over the terms' absolute values, the
+    scale an evaluation near a zero of A_n is measured against.
+    """
+    with mp.workdps(dps):
+        zz = mp.mpf(z)
+        nodes = [mp.mpf(1)] + [mp.cos(mp.pi * k / (2 * p)) for k in range(1, p)]
+        weights = [1] + [2] * (p - 1)
+        if n == 0:
+            fn = mp.cosh if kind == "I" else mp.cos
+            terms = [w * fn(c * zz) for w, c in zip(weights, nodes)]
+            return (1 + sum(terms)) / (2 * p), (1 + sum(abs(t) for t in terms)) / (2 * p)
+        if zz == 0:
+            return mp.mpf(0), mp.mpf(0)
+        bessel = mp.besseli if kind == "I" else mp.besselj
+        az = abs(zz)
+        terms = [w * c ** (n + 1) * mp.sqrt(mp.pi / (2 * c * az)) * bessel(n - mp.mpf(1) / 2, c * az)
+                 for w, c in zip(weights, nodes)]
+        sign = -1 if zz < 0 and n % 2 else 1
+        return sign * az / (2 * p) * sum(terms), az / (2 * p) * sum(abs(t) for t in terms)
+
+
+class _CompensatedSum:
+    """Neumaier-compensated accumulator."""
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.carry = 0.0
+
+    def add(self, x: float) -> None:
+        t = self.total + x
+        if abs(self.total) >= abs(x):
+            self.carry += (self.total - t) + x
+        else:
+            self.carry += (x - t) + self.total
+        self.total = t
+
+    def value(self) -> float:
+        return self.total + self.carry
+
+
+def ref_I_accumulator(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+    """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
+    policy = policy or SeriesPolicy()
+    _validate(n, z)
+    term = _leading_term(n, z)
+    acc = _CompensatedSum()
+    acc.add(term)
+    ratio = 0.25 * z * z
+    for k in range(1, policy.max_terms):
+        term *= ratio / (k * (n + k))
+        acc.add(term)
+        if abs(term) <= policy.tol * abs(acc.value()):
+            break
+    return acc.value()
+
+
+def ref_J_accumulator(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+    """Alternating series for J_n, with a two-term lookahead stop.
+
+    The lookahead guards against stopping on an accidentally small term of
+    an alternating sum before its neighbour has been folded in.
+    """
+    policy = policy or SeriesPolicy()
+    _validate(n, z)
+    term = _leading_term(n, z)
+    acc = _CompensatedSum()
+    acc.add(term)
+    ratio = -0.25 * z * z
+    for k in range(1, policy.max_terms):
+        term *= ratio / (k * (n + k))
+        acc.add(term)
+        bound = policy.tol * abs(acc.value())
+        lookahead = abs(term * ratio) / ((k + 1) * (n + k + 1))
+        if abs(term) <= bound and lookahead <= bound:
+            break
+    return acc.value()

@@ -1,4 +1,4 @@
-"""Approximant tests: request validation, fallback policy, parity, fixtures."""
+"""Approximant tests: request validation, path selection, parity, fixtures."""
 
 import math
 
@@ -16,10 +16,14 @@ from besselhyp import (
     ref_J,
 )
 from besselhyp.analysis import hp_approx
-from besselhyp.approximation import _assemble, _maclaurin_series
-from fixtures import _approx_J_complex, closed_form_p2
+from besselhyp.approximation import _assemble, _route
+from fixtures import _approx_J_complex, closed_form_p2, spherical_approximant
 
-TINY_EPS = 1e-300  # forces the kernel assembly everywhere
+
+def _near_approximant(value, kind, n, p, z, tol=1e-13):
+    # Relative tol, or tol times the node terms' magnitude near a zero of J.
+    want, scale = spherical_approximant(kind, n, p, z)
+    return abs(value - want) <= tol * max(abs(want), scale)
 
 
 class TestRequestValidation:
@@ -82,30 +86,33 @@ class TestApproxI:
         for z in (0.5, 1.5, 3.0):
             assert evaluate(ApproxRequest("I", 0, 1, z)) == (1.0 + math.cosh(z)) / 2.0
 
-    def test_fallback_matches_series(self):
-        # Below the threshold the value is the truncated series itself.
-        val = evaluate(ApproxRequest("I", 2, 2, 0.01))
-        assert val == _maclaurin_series(2, 0.01, 2, alternating=False)
-        assert val == pytest.approx(ref_I(2, 0.01), rel=1e-12)
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (5, 2), (7, 2), (11, 3)])
+    def test_below_eps_is_the_approximant(self, kind, n, p):
+        # Below eps the series is forced, and it is the approximant itself:
+        # not the truncated I_n/J_n series, and not 0.0 for n >= 2p.
+        for z in (1e-3, 0.01, 0.1, 0.2):
+            req = ApproxRequest(kind, n, p, z)
+            assert abs(z) < req.eps
+            value = evaluate(req)
+            assert value != 0.0
+            assert _near_approximant(value, kind, n, p, z), (z, value)
 
-    def test_fallback_empty_when_no_matched_terms(self):
-        # 2p - n <= 0 leaves nothing to sum.
-        assert evaluate(ApproxRequest("I", 5, 2, 0.1)) == 0.0
-
-    @pytest.mark.parametrize("n,p", [(0, 1), (0, 2), (1, 2), (2, 3), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("n,p", [(0, 1), (0, 2), (1, 2), (2, 3), (3, 2), (3, 4),
+                                     (9, 4), (15, 4), (24, 8), (31, 8)])
     def test_crossover_continuity(self, n, p):
-        # At the threshold the kernel assembly and the fallback differ by the
-        # truncated series remainder, whose leading term bounds the jump.
-        eps = default_small_z_threshold(n)
-        kernel_val = _assemble(n, p, eps, trig=False)
-        fallback_val = _maclaurin_series(n, eps, 2 * p - n, alternating=False)
-        half = 0.5 * eps
-        next_term = 1.0
-        for i in range(1, n + 1):
-            next_term *= half / i
-        for k in range(1, 2 * p - n + 1):
-            next_term *= (half * half) / (k * (n + k))
-        assert abs(kernel_val - fallback_val) <= 2.5 * next_term + 1e-13 * abs(kernel_val)
+        # Each side of eps and of the series crossover takes its own path;
+        # for both kinds the values at adjacent floats agree to 1e-13 and
+        # both match the approximant.
+        for kind in "IJ":
+            for edge in (ApproxRequest(kind, n, p, 1.0).eps,
+                         _route(n, p, kind == "J").series_below):
+                if edge <= 0:
+                    continue
+                below = evaluate(ApproxRequest(kind, n, p, math.nextafter(edge, 0.0)))
+                above = evaluate(ApproxRequest(kind, n, p, edge))
+                assert below == pytest.approx(above, rel=1e-13, abs=1e-300), (kind, edge)
+                assert _near_approximant(above, kind, n, p, edge), (kind, edge)
 
 
 class TestOverflow:
@@ -141,15 +148,10 @@ class TestApproxJ:
         rel = abs(evaluate(ApproxRequest("J", 1, 2, 1.0)) - ref_J(1, 1.0)) / abs(ref_J(1, 1.0))
         assert rel < 1e-5
 
-    def test_fallback_matches_series(self):
-        val = evaluate(ApproxRequest("J", 2, 3, 0.01))
-        assert val == _maclaurin_series(2, 0.01, 4, alternating=True)
-        assert val == pytest.approx(ref_J(2, 0.01), rel=1e-12)
-
     @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
     def test_complex_path_consistency(self, n, p, z):
-        real_path = evaluate(ApproxRequest("J", n, p, z, eps=TINY_EPS))
+        real_path = _assemble(n, p, z, trig=True)
         rotated = _approx_J_complex(n, p, z)
         assert rotated.imag == 0.0
         assert rotated.real == pytest.approx(real_path, rel=1e-12)
@@ -194,7 +196,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 4.0, 6.0])
     def test_agrees_with_assembly(self, n, z):
-        assert closed_form_p2(n, z) == evaluate(ApproxRequest("I", n, 2, z, eps=TINY_EPS))
+        assert closed_form_p2(n, z) == _assemble(n, 2, z, trig=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,18 @@ class TestScaling:
         assert float(fields["slope"]) == pytest.approx(4.0, abs=0.2)
         assert fields["expected"] == "4"
 
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    def test_order_past_2p_expects_its_leading_term(self, capsys, kind):
+        # For n > 2p the approximant first departs from I_n at z**n, not at
+        # z**(4p - n) = z**3.
+        code, out, _ = run(capsys, "scaling", "--kind", kind, "-n", "5", "-p", "2",
+                           "--samples", "8", "--dps", "60")
+        assert code == EXIT_OK
+        header, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["expected"] == "5"
+        assert float(fields["slope"]) == pytest.approx(5.0, abs=0.2)
+
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--z-max", "2")
         assert code == EXIT_USAGE

@@ -6,6 +6,7 @@ import pytest
 
 from besselhyp import SeriesPolicy, identity_residual, ref_I, ref_J, tail_I0
 from besselhyp.reference import IDENTITY_TAGS, ORACLE_TOL_ENV
+from fixtures import ref_I_accumulator, ref_J_accumulator
 
 # Frozen by brute-force partial sums at tolerance 1e-15; stable by construction.
 I0_AT_1 = 1.2660658777520084
@@ -66,6 +67,34 @@ class TestRefJ:
         # z = 10 forces many growing-then-shrinking terms; the lookahead stop
         # and compensation must still deliver near-full precision.
         assert ref_J(0, 10.0) == pytest.approx(-0.2459357644513483, rel=1e-12)
+
+
+class TestCompensatedLoop:
+    """ref_I/ref_J sum in locals; the accumulator-object loops they replaced
+    are kept in the fixtures and must give the same bits."""
+
+    ZS = (-30.0, -17.3, -2.5, -0.0, 0.0, 1e-300, 1e-3, 0.37, 1.0, 4.0, 9.99, 15.0,
+          22.2, 29.5, 30.0)
+    POLICIES = (None, SeriesPolicy(tol=1e-6), SeriesPolicy(max_terms=3))
+
+    @pytest.mark.parametrize("fn,fixture", [(ref_I, ref_I_accumulator),
+                                            (ref_J, ref_J_accumulator)])
+    def test_bit_for_bit(self, fn, fixture):
+        for n in list(range(0, 33)) + [40, 51, 64]:
+            for z in self.ZS:
+                for policy in self.POLICIES:
+                    assert fn(n, z, policy).hex() == fixture(n, z, policy).hex(), (n, z)
+
+    @pytest.mark.parametrize("fn,fixture", [(ref_I, ref_I_accumulator),
+                                            (ref_J, ref_J_accumulator)])
+    def test_tolerance_is_read_per_call(self, monkeypatch, fn, fixture):
+        tight = fn(7, 12.5)
+        monkeypatch.setenv(ORACLE_TOL_ENV, "1e-4")
+        loose = fn(7, 12.5)
+        assert loose != tight
+        assert loose.hex() == fixture(7, 12.5).hex()
+        monkeypatch.delenv(ORACLE_TOL_ENV)
+        assert fn(7, 12.5) == tight
 
 
 class TestSeriesPolicy:

@@ -225,6 +225,58 @@ def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
         return hp_approx(kind, n, p, z, dps=dps) - hp_ref(kind, n, z, dps=dps)
 
 
+#: A sampled error is measured only where it exceeds its rounding floor by
+#: this many digits.
+_FLOOR_MARGIN_DIGITS = 3
+
+
+def _largest_term_digits(kind: str, n: int, p: int, z: float) -> float:
+    """log10 of a bound on the largest term the assembly sums at z != 0.
+
+    The terms are a(n, q) z**(q-n) kernel_q(z) / 2p, with the Rayleigh
+    coefficients a(n, q) and |kernel_q| at most (2p - 1) e**|z| for I and
+    2p - 1 for J; order 0 is the kernel alone.
+    """
+    az = abs(z)
+    digits = math.log10((2 * p - 1) / (2 * p)) + (az / math.log(10) if kind == "I" else 0.0)
+    if n == 0:
+        return digits
+    log_z = math.log10(az)
+    return digits + max(coeff + power * log_z for coeff, power in _coefficient_digits(n))
+
+
+@lru_cache(maxsize=None)
+def _coefficient_digits(n: int) -> tuple[tuple[float, int], ...]:
+    # (log10 |a(n, q)|, q - n) for each term of the order-n assembly.
+    return tuple((math.log10(abs(t.coeff)), t.q - n) for t in derive_expansion(n).terms)
+
+
+def _log_error(kind: str, n: int, p: int, z: float, dps: int) -> float:
+    # ln|approx - reference| at dps digits; -inf where they agree exactly.
+    with mp.workdps(dps):
+        return float(mp.log(abs(hp_error(kind, n, p, z, dps=dps))))
+
+
+def _is_noise(log_err: float, top: float, dps: int) -> bool:
+    # Within the margin of the rounding floor 10**-dps times the largest
+    # term, 10**top: what is left there is rounding, not the error.
+    return log_err <= (top + _FLOOR_MARGIN_DIGITS - dps) * math.log(10)
+
+
+def _resolving_dps(kind: str, n: int, p: int, z: float, dps: int) -> int | None:
+    """Fewest working digits at which the error at z clears its rounding
+    floor by the margin, from the error measured at doubling precision; None
+    if it is still noise at 16 times ``dps``."""
+    top = _largest_term_digits(kind, n, p, z)
+    work = dps
+    while work < 16 * dps:
+        work *= 2
+        log_err = _log_error(kind, n, p, z, work)
+        if not _is_noise(log_err, top, work):
+            return math.floor(top + _FLOOR_MARGIN_DIGITS - log_err / math.log(10)) + 2
+    return None
+
+
 def fit_error_slope(
     kind: str,
     n: int,
@@ -237,23 +289,33 @@ def fit_error_slope(
     """Least-squares slope of log|error| against log z on a geometric grid.
 
     The construction predicts a slope of max(4p - n, n) from the leading
-    error term.
+    error term.  The assembly cancels near z = 0, so a sample's error is
+    measured only to 10**-dps times the assembly's largest term; where a
+    sample's error is within 1e3 of that floor, the fit would be of noise,
+    and ``ValueError`` names the ``dps`` that resolves every sample.
     """
     if not (0.0 < z_lo < z_hi):
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_dps(dps)
-    zs = np.geomspace(z_lo, z_hi, samples)
+    zs = [float(z) for z in np.geomspace(z_lo, z_hi, samples)]
     log_z = []
-    log_err = []
-    with mp.workdps(dps):
-        for z in zs:
-            err = abs(hp_error(kind, n, p, float(z), dps=dps))
-            if err == 0:
-                raise ValueError(f"zero error at z={z}: approximant and reference "
-                                 f"agree to all {dps} digits; increase dps (--dps)")
-            log_z.append(math.log(float(z)))
-            log_err.append(float(mp.log(err)))
-    slope, _ = np.polyfit(np.asarray(log_z), np.asarray(log_err), 1)
+    log_errs = []
+    noisy = []
+    for z in zs:
+        log_err = _log_error(kind, n, p, z, dps)
+        if _is_noise(log_err, _largest_term_digits(kind, n, p, z), dps):
+            noisy.append(z)
+            continue
+        log_z.append(math.log(z))
+        log_errs.append(log_err)
+    if noisy:
+        needed = [_resolving_dps(kind, n, p, z, dps) for z in noisy]
+        advice = (f"at least --dps {max(needed)}" if None not in needed
+                  else f"more than --dps {16 * dps}")
+        raise ValueError(
+            f"the error at {len(noisy)} of {samples} samples (from z={noisy[0]}) is "
+            f"within 1e3 of the rounding floor of {dps} digits; the fit needs {advice}")
+    slope, _ = np.polyfit(np.asarray(log_z), np.asarray(log_errs), 1)
     return float(slope)

@@ -33,9 +33,14 @@ that is well-conditioned there:
 Every kernel of the order-n assembly is taken at the same p arguments z and
 c_k z; only the parity and the node weights 2 c_k**q change from term to
 term.  Each (kind, n, p) is therefore compiled once into a cached plan, and
-evaluating it takes one sinh/cosh (sin/cos) pair per argument.  The plan
-runs the same Horner recurrence, in the same order, as the kernel sums, so
-its results equal theirs bit for bit.
+evaluating it takes one sinh/cosh (sin/cos) pair per argument.  The plan is
+run by straight-line code generated once per p, with the nodes as literals
+and one statement per node term; it runs the same Horner recurrence, in the
+same order, as the kernel sums, so its results equal theirs bit for bit.
+
+A request is validated once, when ApproxRequest is built: its own __init__
+checks the raw arguments and stores each field once, and evaluate trusts
+what it is given.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ class ApproxRequest:
 
     ``eps`` forces the series below it (``None`` selects the default
     0.25 * (n + 1)); a J series that is ill-conditioned there still gives
-    way to the other paths.  Requests are validated on construction; in
-    particular n < 4p is required for the approximant to have any matched
-    series terms.
+    way to the other paths.  Requests are validated once, on construction,
+    and each field is stored once; in particular n < 4p is required for the
+    approximant to have any matched series terms, and ``z`` is stored as a
+    float.
     """
 
     kind: str
@@ -88,28 +94,38 @@ class ApproxRequest:
     z: float
     eps: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("I", "J"):
-            raise ValueError(f"kind must be 'I' or 'J', got {self.kind!r}")
-        if type(self.n) is not int or type(self.p) is not int:
-            _require_int("order n", self.n)
-            _require_int("accuracy parameter p", self.p)
-        if self.n < 0:
-            raise ValueError(f"order n must be >= 0, got {self.n}")
-        if self.p < 1:
-            raise ValueError(f"accuracy parameter p must be >= 1, got {self.p}")
-        object.__setattr__(self, "z", float(self.z))
-        if not math.isfinite(self.z):
-            raise ValueError(f"argument must be finite, got {self.z!r}")
-        if self.n >= 4 * self.p:
+    def __init__(self, kind: str, n: int, p: int, z: float,
+                 eps: float | None = None) -> None:
+        # Validates the raw arguments, then stores each field once, straight
+        # into the instance dict: the class is frozen, this is its only
+        # writer, and item stores cost less than object.__setattr__.
+        if kind not in ("I", "J"):
+            raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+        if type(n) is not int or type(p) is not int:
+            _require_int("order n", n)
+            _require_int("accuracy parameter p", p)
+        if n < 0:
+            raise ValueError(f"order n must be >= 0, got {n}")
+        if p < 1:
+            raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+        z = float(z)
+        if not math.isfinite(z):
+            raise ValueError(f"argument must be finite, got {z!r}")
+        if n >= 4 * p:
             raise DomainError(
-                f"order n={self.n} needs n < 4p = {4 * self.p}; "
+                f"order n={n} needs n < 4p = {4 * p}; "
                 "no series terms are matched beyond that"
             )
-        if self.eps is None:
-            object.__setattr__(self, "eps", default_small_z_threshold(self.n))
-        elif not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        if eps is None:
+            eps = default_small_z_threshold(n)
+        elif not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["n"] = n
+        fields["p"] = p
+        fields["z"] = z
+        fields["eps"] = eps
 
 
 def _require_int(name: str, value: object) -> None:
@@ -131,10 +147,10 @@ class _Plan(NamedTuple):
     ``steps`` holds, per term in ascending q: whether it is sinh-like, its
     coefficient as a float and its node weights 2 c_k**q.  ``odd``/``even``
     are the sinh-like and cosh-like functions, or None where no term uses
-    that parity.
+    that parity; ``run`` is the runner for the plan's p (see _runner).
     """
 
-    nodes: tuple[float, ...]
+    run: Callable[..., float]
     odd: Callable[[float], float] | None
     even: Callable[[float], float] | None
     steps: tuple[tuple[bool, float, tuple[float, ...]], ...]
@@ -154,7 +170,7 @@ def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
     )
     sinh_like, cosh_like = (math.sin, math.cos) if trig else (math.sinh, math.cosh)
     return _Plan(
-        nodes=make_nodes(p).nodes,
+        run=_runner(p),
         odd=sinh_like if any(odd for odd, _, _ in steps) else None,
         even=cosh_like if not all(odd for odd, _, _ in steps) else None,
         steps=steps,
@@ -176,29 +192,36 @@ def _plan(n: int, p: int, trig: bool) -> _Plan:
     return _compile(terms, p, trig=trig)
 
 
-def _run(plan: _Plan, z: float) -> float:
-    # The kernel Horner recurrence acc <- acc/z + coeff * kernel_q, with
-    # kernel_q = f(z) + sum_k w_qk f(c_k z) summed left to right as kernel_*
-    # sums it, over transcendentals taken once per argument.
-    nodes, odd_fn, even_fn, steps = plan
-    if odd_fn is not None:
-        odd0 = odd_fn(z)
-        odds = [odd_fn(c * z) for c in nodes]
-    if even_fn is not None:
-        even0 = even_fn(z)
-        evens = [even_fn(c * z) for c in nodes]
-    acc = None
-    for sinh_like, coeff, row in steps:
-        if sinh_like:
-            value = odd0
-            for w, f in zip(row, odds):
-                value += w * f
-        else:
-            value = even0
-            for w, f in zip(row, evens):
-                value += w * f
-        acc = coeff * value if acc is None else acc / z + coeff * value
-    return acc
+@lru_cache(maxsize=None)
+def _runner(p: int) -> Callable[..., float]:
+    """The plan loop for node count p, generated once per p as straight-line
+    code: run(z, odd, even, steps).
+
+    It is the kernel Horner recurrence acc <- acc/z + coeff * kernel_q, with
+    kernel_q = f(z) + sum_k w_qk f(c_k z) summed left to right as kernel_*
+    sums it, over transcendentals taken once per argument.  The nodes are
+    literals and each node term is its own statement; one long expression
+    would overflow the compiler's recursion at a few thousand nodes.
+    """
+    ks = range(1, p)
+    lines = ["def run(z, odd, even, steps):"]
+    lines += [f"    a{k} = {c!r} * z" for k, c in zip(ks, make_nodes(p).nodes)]
+    for fn, f in (("odd", "o"), ("even", "e")):
+        lines.append(f"    if {fn} is not None:")
+        lines.append(f"        {f}0 = {fn}(z)")
+        lines += [f"        {f}{k} = {fn}(a{k})" for k in ks]
+    row = "".join(f"w{k}, " for k in ks)
+    lines.append("    acc = None")
+    lines.append(f"    for sinh_like, coeff, ({row}) in steps:")
+    for test, f in (("if sinh_like:", "o"), ("else:", "e")):
+        lines.append(f"        {test}")
+        lines.append(f"            value = {f}0")
+        lines += [f"            value += w{k} * {f}{k}" for k in ks]
+    lines.append("        acc = coeff * value if acc is None else acc / z + coeff * value")
+    lines.append("    return acc")
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(lines), f"<plan runner p={p}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
@@ -206,8 +229,9 @@ def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
 
 
 def _plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
+    run, odd, even, steps = plan
     try:
-        acc = _run(plan, z)
+        acc = run(z, odd, even, steps)
     except OverflowError:  # sinh/cosh, or a coefficient beyond binary64
         acc = math.inf
     if not math.isfinite(acc):
@@ -393,9 +417,17 @@ def _spherical_j(m: int, x: float) -> float:
 
 def _node_sum(n: int, p: int, az: float) -> float:
     # (|z|/2p) [j_{n-1}(|z|) + sum_k 2 c_k**(n+1) j_{n-1}(c_k |z|)], n >= 1.
+    # |j_m(x)| <= x**m / (2m+1)!! (DLMF 10.14.4 through j_m = sqrt(pi/2x)
+    # J_{m+1/2}), so the sum stops at the first node whose term is bounded
+    # below half an ulp of the sum so far; the nodes decrease, and so do
+    # the bounds of the nodes after it.
     total = _spherical_j(n - 1, az)
+    scale = 1.0 / double_factorial(2 * n - 1)
     for w, c in zip(_node_weights(p, n + 1), make_nodes(p).nodes):
-        total += w * _spherical_j(n - 1, c * az)
+        x = c * az
+        if w * x ** (n - 1) * scale < 0.5 * math.ulp(total):
+            break
+        total += w * _spherical_j(n - 1, x)
     return az * total / (2 * p)
 
 

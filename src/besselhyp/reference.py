@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 ORACLE_TOL_ENV = "BESSELHYP_ORACLE_TOL"
@@ -33,14 +34,17 @@ N_MAX = 64
 IDENTITY_TAGS = ("N2", "N4", "N8", "N4P", "J4P")
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(ORACLE_TOL_ENV)
+def _tol_from(raw: str | None) -> float:
     if raw is None:
         return 1e-15
     tol = float(raw)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{ORACLE_TOL_ENV} must be a positive float, got {raw!r}")
     return tol
+
+
+def _default_tol() -> float:
+    return _tol_from(os.environ.get(ORACLE_TOL_ENV))
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,17 @@ class SeriesPolicy:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+
+
+@lru_cache(maxsize=8)
+def _policy_for(raw: str | None) -> SeriesPolicy:
+    return SeriesPolicy(tol=_tol_from(raw))
+
+
+def _default_policy() -> SeriesPolicy:
+    # What SeriesPolicy() gives, built once per value of the environment
+    # variable, which is still read on every call.
+    return _policy_for(os.environ.get(ORACLE_TOL_ENV))
 
 
 def _validate(n: int, z: float) -> None:
@@ -77,7 +92,7 @@ def _leading_term(n: int, z: float) -> float:
 
 def ref_I(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
-    policy = policy or SeriesPolicy()
+    policy = policy or _default_policy()
     _validate(n, z)
     tol = policy.tol
     term = _leading_term(n, z)
@@ -103,7 +118,7 @@ def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     The lookahead guards against stopping on an accidentally small term of
     an alternating sum before its neighbour has been folded in.
     """
-    policy = policy or SeriesPolicy()
+    policy = policy or _default_policy()
     _validate(n, z)
     tol = policy.tol
     term = _leading_term(n, z)
@@ -155,7 +170,7 @@ def tail_I0(p: int, z: float, policy: SeriesPolicy | None = None) -> float:
     from I_0; it is positive for z > 0 and strictly decreasing in p.  The
     oracle's n <= 64 limits it to 4p <= 64.
     """
-    policy = policy or SeriesPolicy()
+    policy = policy or _default_policy()
     if p < 1:
         raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
     _validate(0, z)
@@ -190,7 +205,7 @@ def identity_residual(
     tolerance; each identity is exact, so residuals sit at round-off level.
     ``p`` is required for the N4P and J4P families and ignored otherwise.
     """
-    policy = policy or SeriesPolicy()
+    policy = policy or _default_policy()
     _validate(0, z)
     if which == "N2":
         return math.cosh(z) - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 2, z, policy))

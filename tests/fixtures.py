@@ -18,7 +18,7 @@ import math
 
 import mpmath as mp
 
-from besselhyp.approximation import _compile, _j_term_sign, _run
+from besselhyp.approximation import _compile, _j_term_sign
 from besselhyp.coefficients import Term, derive_expansion
 from besselhyp.kernels import KernelKind, kernel_cosh, make_nodes, node_power
 from besselhyp.reference import SeriesPolicy, _leading_term, _validate
@@ -57,7 +57,8 @@ def closed_form_p2(n: int, z: float) -> float:
         raise ValueError("closed forms for n >= 2 divide by z; need z != 0")
     if n == 0:
         return (1.0 + kernel_cosh(0, make_nodes(2), z)) / 4.0
-    return _run(_compile(_P2_PRINTED[n], 2, trig=False), z) / 4.0
+    run, odd, even, steps = _compile(_P2_PRINTED[n], 2, trig=False)
+    return run(z, odd, even, steps) / 4.0
 
 
 def _approx_J_complex(n: int, p: int, z: float) -> complex:

@@ -1,5 +1,6 @@
 """Approximant tests: request validation, path selection, parity, fixtures."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -16,7 +17,15 @@ from besselhyp import (
     ref_J,
 )
 from besselhyp.analysis import hp_approx
-from besselhyp.approximation import _assemble, _route
+from besselhyp import approximation
+from besselhyp.approximation import (
+    _assemble,
+    _node_sum,
+    _node_weights,
+    _route,
+    _spherical_j,
+    make_nodes,
+)
 from fixtures import _approx_J_complex, closed_form_p2, spherical_approximant
 
 
@@ -63,6 +72,31 @@ class TestRequestValidation:
         assert ApproxRequest("I", 0, 2, 1.0).eps == 0.25
         assert ApproxRequest("I", 3, 2, 1.0).eps == 1.0
         assert default_small_z_threshold(3) == 1.0
+
+    def test_frozen(self):
+        req = ApproxRequest("I", 2, 2, 1.5)
+        for name, value in (("z", 2.0), ("eps", None), ("kind", "J")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(req, name, value)
+        assert req == ApproxRequest("I", 2, 2, 1.5)
+
+    def test_replace_validates(self):
+        req = ApproxRequest("J", 3, 2, 1.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(req, z=math.inf)
+        with pytest.raises(DomainError):
+            dataclasses.replace(req, n=8)
+        assert dataclasses.replace(req, z=2).z == 2.0
+
+    def test_keywords_equality_and_hash(self):
+        req = ApproxRequest(kind="I", n=3, p=2, z=1, eps=0.5)
+        assert (req.kind, req.n, req.p, req.z, req.eps) == ("I", 3, 2, 1.0, 0.5)
+        assert type(req.z) is float
+        same = ApproxRequest("I", 3, 2, 1.0, 0.5)
+        assert req == same and hash(req) == hash(same)
+        assert len({req, same, ApproxRequest("I", 3, 2, 1.0)}) == 2
+        assert repr(req) == "ApproxRequest(kind='I', n=3, p=2, z=1.0, eps=0.5)"
+        assert [f.name for f in dataclasses.fields(req)] == ["kind", "n", "p", "z", "eps"]
 
 
 class TestApproxI:
@@ -231,3 +265,26 @@ class TestClosedForms:
         doubled = closed_form_p2(3, z) - (3.0 / z) * nodes_term / 4.0
         rel = abs(doubled - evaluate(ApproxRequest("I", 3, 2, z))) / closed_form_p2(3, z)
         assert rel > 1e-1
+
+
+class TestNodeSum:
+    def test_negligible_nodes_are_skipped(self, monkeypatch):
+        # At (J, 24, 8, 20) the smallest nodes' terms are bounded below half
+        # an ulp of the sum; the sum that skips them stays within
+        # tests/test_paths.py's bound of the one that does not.
+        n, p, z = 24, 8, 20.0
+        full = _spherical_j(n - 1, z)
+        for w, c in zip(_node_weights(p, n + 1), make_nodes(p).nodes):
+            full += w * _spherical_j(n - 1, c * z)
+        full = z * full / (2 * p)
+        calls = []
+
+        def counted(m, x):
+            calls.append(x)
+            return _spherical_j(m, x)
+
+        monkeypatch.setattr(approximation, "_spherical_j", counted)
+        got = _node_sum(n, p, z)
+        assert len(calls) < p
+        _, scale = spherical_approximant("J", n, p, z)
+        assert abs(got - full) <= 1e-12 * scale

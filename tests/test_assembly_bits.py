@@ -15,7 +15,7 @@ import math
 import pytest
 
 from besselhyp import Binary64OverflowError, derive_expansion, make_nodes
-from besselhyp.approximation import _assemble, _j_term_sign, _node_weights, _plan
+from besselhyp.approximation import _assemble, _j_term_sign, _node_weights, _plan, _runner
 from besselhyp.kernels import KernelKind, kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
 
 # Negative and fractional arguments, the cancellation region near zero, and
@@ -60,7 +60,7 @@ def _fixture(n, p, z, trig):
         return math.inf
 
 
-@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("p", [*range(1, 9), 12, 16])
 @pytest.mark.parametrize("trig", [False, True], ids=["I", "J"])
 def test_plan_matches_kernel_loop(p, trig):
     overflowed = 0
@@ -101,3 +101,24 @@ def test_plan_builds_only_the_rows_it_uses():
     _assemble(2, p, 1.5, trig=False)
     assert _node_weights.cache_info().currsize - before == 2
     assert len(_node_weights(p, 1)) == p - 1
+
+
+@pytest.mark.parametrize("trig", [False, True], ids=["I", "J"])
+def test_runner_at_thousands_of_nodes(trig):
+    # The runner is one statement per node term; a single expression over
+    # this many nodes would not even compile.
+    p = 4096
+    for z in (-3.7, 0.31, 2.5, 40.0):
+        want = kernel_assemble(2, p, z, trig=trig)
+        assert _assemble(2, p, z, trig=trig).hex() == want.hex(), z
+
+
+def test_one_runner_per_p():
+    # Every plan at one p shares one runner; none is built per (kind, n).
+    before = _runner.cache_info().misses
+    runners = {
+        p: {_plan(n, p, trig).run for n in range(4 * p) for trig in (False, True)}
+        for p in (21, 22)
+    }
+    assert runners == {p: {_runner(p)} for p in (21, 22)}
+    assert _runner.cache_info().misses - before <= 2

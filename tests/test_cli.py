@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -171,6 +172,21 @@ class TestScaling:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--dps" in err and "Traceback" not in err
+
+    def test_error_under_the_rounding_floor_is_usage_error(self, capsys):
+        # At the default 50 digits the (15, 4) assembly's cancellation leaves
+        # rounding noise, not the error; the message names the digits the fit
+        # needs, and they are enough.
+        code, out, err = run(capsys, "scaling", "-n", "15", "-p", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        match = re.search(r"--dps (\d+)", err)
+        assert match, err
+        code, out, _ = run(capsys, "scaling", "-n", "15", "-p", "4", "--dps", match[1])
+        assert code == EXIT_OK
+        header, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert float(fields["slope"]) == pytest.approx(15.0, abs=0.2)
 
     @pytest.mark.parametrize("dps", ["0", "-3"])
     def test_nonpositive_dps_is_usage_error(self, capsys, dps):

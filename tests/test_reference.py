@@ -5,7 +5,7 @@ import math
 import pytest
 
 from besselhyp import SeriesPolicy, identity_residual, ref_I, ref_J, tail_I0
-from besselhyp.reference import IDENTITY_TAGS, ORACLE_TOL_ENV
+from besselhyp.reference import IDENTITY_TAGS, ORACLE_TOL_ENV, _default_policy
 from fixtures import ref_I_accumulator, ref_J_accumulator
 
 # Frozen by brute-force partial sums at tolerance 1e-15; stable by construction.
@@ -117,6 +117,16 @@ class TestSeriesPolicy:
             SeriesPolicy(tol=0.0)
         with pytest.raises(ValueError):
             SeriesPolicy(max_terms=0)
+
+    def test_default_is_built_once_per_setting(self, monkeypatch):
+        monkeypatch.delenv(ORACLE_TOL_ENV, raising=False)
+        default = _default_policy()
+        assert default is _default_policy() and default == SeriesPolicy()
+        monkeypatch.setenv(ORACLE_TOL_ENV, "1e-9")
+        assert _default_policy() == SeriesPolicy(tol=1e-9)
+        monkeypatch.setenv(ORACLE_TOL_ENV, "-3")
+        with pytest.raises(ValueError):
+            ref_I(0, 1.0)
 
     def test_loose_policy_loosens_result(self):
         sloppy = ref_I(0, 4.0, SeriesPolicy(tol=1e-3))

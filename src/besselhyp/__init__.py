@@ -11,25 +11,13 @@ from .approximation import (
     DomainError,
     default_small_z_threshold,
     evaluate,
+    make_nodes,
 )
 from .coefficients import (
-    DEFAULT_N_MAX,
-    Term,
-    TermExpansion,
     closed_form_coefficient,
     derive_expansion,
     double_factorial,
-    expansion_coefficient,
     recurrence_table,
-)
-from .kernels import (
-    KernelKind,
-    NodeSet,
-    kernel_cos,
-    kernel_cosh,
-    kernel_sin,
-    kernel_sinh,
-    make_nodes,
 )
 from .reference import (
     IDENTITY_TAGS,
@@ -45,25 +33,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxRequest",
     "Binary64OverflowError",
-    "DEFAULT_N_MAX",
     "DomainError",
     "IDENTITY_TAGS",
-    "KernelKind",
-    "NodeSet",
     "SeriesPolicy",
-    "Term",
-    "TermExpansion",
     "closed_form_coefficient",
     "default_small_z_threshold",
     "derive_expansion",
     "double_factorial",
     "evaluate",
-    "expansion_coefficient",
     "identity_residual",
-    "kernel_cos",
-    "kernel_cosh",
-    "kernel_sin",
-    "kernel_sinh",
     "make_nodes",
     "recurrence_table",
     "ref_I",

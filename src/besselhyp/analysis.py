@@ -7,8 +7,8 @@ and z = 0.1 sits around 1e-20, orders of magnitude under the rounding noise
 of the assembled kernels.  This module therefore re-evaluates the same formulas two other
 ways:
 
-* exact Maclaurin coefficients of the approximant over rational node
-  squares (available for p <= 3, which covers the tested pairs), and
+* exact Maclaurin coefficients of the approximant from the exact node
+  power sums (a binomial sum, for every p), and
 * arbitrary-precision evaluation of both the assembly (in mpmath) and the
   reference series (in fixed-point integers), for error measurements and
   log-log slope fits.
@@ -22,34 +22,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 import numpy as np
 
 from .approximation import _j_term_sign
 from .coefficients import derive_expansion
-from .kernels import KernelKind
-
-# Squared interior nodes are rational for p <= 3: cos^2(k pi / 2p) equals
-# (1 + cos(k pi / p)) / 2 and the inner cosine is rational at these p.
-_EXACT_NODE_SQUARES: dict[int, tuple[Fraction, ...]] = {
-    1: (),
-    2: (Fraction(1, 2),),
-    3: (Fraction(3, 4), Fraction(1, 4)),
-}
 
 
 def node_power_sum(p: int, m: int) -> Fraction:
-    """Exact P(m) = 1 + 2 sum_k c_k**m for even m, p <= 3."""
-    if p not in _EXACT_NODE_SQUARES:
-        raise ValueError(f"exact node powers are tabulated for p <= 3, got p={p}")
+    """Exact P(m) = 1 + 2 sum_k c_k**m for even m >= 0, any p >= 1.
+
+    P(0) = 2p - 1, one per node.  For m = 2j >= 2, P(m) / 2p is the
+    4p-point trapezoidal mean of cos**m (the node cos(pi/2) = 0 adds
+    nothing), which is exactly 4**-j sum_{l = j mod 2p} C(2j, l)
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    """
+    if p < 1:
+        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
     if m < 0 or m % 2:
         raise ValueError(f"node power sums are exact for even m >= 0, got m={m}")
-    total = Fraction(1)
-    for square in _EXACT_NODE_SQUARES[p]:
-        total += 2 * square ** (m // 2)
-    return total
+    j = m // 2
+    if j == 0:
+        return Fraction(2 * p - 1)
+    total = sum(comb(m, l) for l in range(j % (2 * p), m + 1, 2 * p))
+    return Fraction(2 * p * total, 4**j)
 
 
 def bessel_i_series_coeff(n: int, t: int) -> Fraction:
@@ -80,10 +78,10 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
         return coeff
     weight = node_power_sum(p, t + n)
     acc = Fraction(0)
-    for term in derive_expansion(n).terms:
-        j = t + n - term.q
+    for q, coeff in enumerate(derive_expansion(n), 1):
+        j = t + n - q
         if j >= 0:
-            acc += Fraction(term.coeff, factorial(j))
+            acc += Fraction(coeff, factorial(j))
     return Fraction(1, 2 * p) * weight * acc
 
 
@@ -93,7 +91,7 @@ def first_mismatch_order(n: int, p: int, search_limit: int | None = None) -> int
     The matched moments of the nodes predict 4p - n, and that is the answer
     for n <= 2p.  For n > 2p every order below n matches as well (both
     series vanish there), and the first mismatch is the leading z**n term:
-    the exact scan gives max(4p - n, n) for every n < 4p, p <= 3.  The scan
+    the exact scan gives max(4p - n, n) for every n < 4p, p <= 8.  The scan
     stops with an error a little beyond that, so a structurally broken build
     cannot loop.
     """
@@ -174,10 +172,11 @@ def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
         odd = [sinh_like(a) for a in args]
         even = [cosh_like(a) for a in args] if n >= 2 else odd
         acc = mp.mpf(0)
-        for term in derive_expansion(n).terms:
-            value = _hp_kernel(odd if term.kind is KernelKind.SINH else even, rows[term.q])
-            coeff = term.coeff * _j_term_sign(term.q) if trig else term.coeff
-            acc = coeff * value if term.q == 1 else acc / zz + coeff * value
+        for q, coeff in enumerate(derive_expansion(n), 1):
+            value = _hp_kernel(odd if q % 2 else even, rows[q])
+            if trig:
+                coeff *= _j_term_sign(q)
+            acc = coeff * value if q == 1 else acc / zz + coeff * value
         if trig and n % 2:
             acc = -acc
         return acc / (2 * p)
@@ -248,7 +247,8 @@ def _largest_term_digits(kind: str, n: int, p: int, z: float) -> float:
 @lru_cache(maxsize=None)
 def _coefficient_digits(n: int) -> tuple[tuple[float, int], ...]:
     # (log10 |a(n, q)|, q - n) for each term of the order-n assembly.
-    return tuple((math.log10(abs(t.coeff)), t.q - n) for t in derive_expansion(n).terms)
+    return tuple((math.log10(abs(coeff)), q - n)
+                 for q, coeff in enumerate(derive_expansion(n), 1))
 
 
 def _log_error(kind: str, n: int, p: int, z: float, dps: int) -> float:

@@ -1,12 +1,16 @@
 """Elementary-function approximants for I_n and J_n.
 
 The order-n approximant at accuracy parameter p assembles the order-n
-kernel expansion over the p-node set and divides by 2p:
+kernel expansion over the nodes c_k = cos(k pi / 2p), k = 1..p-1
+(make_nodes), and divides by 2p:
 
-    I_n ~ (1/2p) * sum_q  a(n, q) * z**(q-n) * kernel_q(z)
+    I_n ~ (1/2p) * sum_q  a(n, q) * z**(q-n) * kernel_q(z),
+    kernel_q(z) = f(z) + sum_k 2 c_k**q f(c_k z),
 
-with the index-0 case (1/2p) * (1 + cosh-kernel_0(z)), the constant added
-explicitly because the kernel itself carries none.  The circular (J)
+with f = sinh for odd q and cosh for even q, and a(n, q) the integers
+that coefficients.derive_expansion returns for q = 1..n.  Order 0 is the
+single coefficient 1 at q = 0: (1/2p) * (1 + kernel_0(z)), the constant
+added explicitly because the kernel itself carries none.  The circular (J)
 variant is the same assembly at the rotated argument: sin/cos kernels, and
 on each coefficient the sign that rotation gives its term.
 
@@ -36,7 +40,8 @@ term.  Each (kind, n, p) is therefore compiled once into a cached plan, and
 evaluating it takes one sinh/cosh (sin/cos) pair per argument.  The plan is
 run by straight-line code generated once per p, with the nodes as literals
 and one statement per node term; it runs the same Horner recurrence, in the
-same order, as the kernel sums, so its results equal theirs bit for bit.
+same order, as summing each kernel_q on its own (one sinh/cosh per term
+and node), so its results equal that per-term form bit for bit.
 
 A request is validated once, when ApproxRequest is built: its own __init__
 checks the raw arguments and stores each field once, and evaluate trusts
@@ -50,8 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .coefficients import Term, derive_expansion, double_factorial
-from .kernels import KernelKind, make_nodes, node_power
+from .coefficients import derive_expansion, double_factorial
 
 
 class DomainError(ValueError):
@@ -134,6 +138,26 @@ def _require_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+@lru_cache(maxsize=None)
+def make_nodes(p: int) -> tuple[float, ...]:
+    """Interior cosine nodes cos(k*pi/(2p)) for k = 1..p-1, cached per p.
+
+    Strictly decreasing in the open interval (0, 1); empty for p = 1.
+    """
+    if p < 1:
+        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+    return tuple(math.cos(k * math.pi / (2 * p)) for k in range(1, p))
+
+
+def _node_power(c: float, q: int) -> float:
+    # Repeated multiplication; q never exceeds the expansion order, so
+    # there is no accuracy concern.
+    w = 1.0
+    for _ in range(q):
+        w *= c
+    return w
+
+
 def _j_term_sign(q: int) -> int:
     # Sign picked up by the index-q term when the argument rotates onto the
     # imaginary axis; period four in q.  Locked in by the complex-path
@@ -142,12 +166,13 @@ def _j_term_sign(q: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """One term list compiled against one node set.
+    """One coefficient list compiled against one node set.
 
-    ``steps`` holds, per term in ascending q: whether it is sinh-like, its
-    coefficient as a float and its node weights 2 c_k**q.  ``odd``/``even``
-    are the sinh-like and cosh-like functions, or None where no term uses
-    that parity; ``run`` is the runner for the plan's p (see _runner).
+    ``steps`` holds, per term in ascending q: whether it is sinh-like (odd
+    q), its coefficient as a float and its node weights 2 c_k**q.
+    ``odd``/``even`` are the sinh-like and cosh-like functions, or None
+    where no term uses that parity; ``run`` is the runner for the plan's p
+    (see _runner).
     """
 
     run: Callable[..., float]
@@ -158,16 +183,14 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _node_weights(p: int, q: int) -> tuple[float, ...]:
-    # The products 2 c_k**q that kernel_* forms, shared by every n and both
-    # kinds; only the q some plan uses are ever built.
-    return tuple(2.0 * node_power(c, q) for c in make_nodes(p).nodes)
+    # The node weights 2 c_k**q of the index-q kernel, shared by every n and
+    # both kinds; only the q some plan uses are ever built.
+    return tuple(2.0 * _node_power(c, q) for c in make_nodes(p))
 
 
-def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
-    steps = tuple(
-        (term.kind is KernelKind.SINH, float(term.coeff), _node_weights(p, term.q))
-        for term in terms
-    )
+def _compile(terms: Iterable[tuple[int, int]], p: int, *, trig: bool) -> _Plan:
+    # terms are (q, a(n, q)) in ascending q.
+    steps = tuple((q % 2 == 1, float(coeff), _node_weights(p, q)) for q, coeff in terms)
     sinh_like, cosh_like = (math.sin, math.cos) if trig else (math.sinh, math.cosh)
     return _Plan(
         run=_runner(p),
@@ -177,18 +200,16 @@ def _compile(terms: Iterable[Term], p: int, *, trig: bool) -> _Plan:
     )
 
 
-# Order 0 is the index-0 cosh kernel alone; _assemble adds the constant 1.
-_ORDER0 = (Term(coeff=1, q=0, kind=KernelKind.COSH),)
-
-
 @lru_cache(maxsize=None)
 def _plan(n: int, p: int, trig: bool) -> _Plan:
-    terms = derive_expansion(n).terms if n else _ORDER0
+    # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0;
+    # _plan_value adds the constant 1.
+    terms = enumerate(derive_expansion(n), 1) if n else [(0, 1)]
     if trig:
         # Rotating z onto the imaginary axis gives the index-q term the sign
         # _j_term_sign(q) and the whole sum the factor (-1)**n, which rides on
         # every coefficient because negation commutes with rounding.
-        terms = [Term((-1) ** n * _j_term_sign(t.q) * t.coeff, t.q, t.kind) for t in terms]
+        terms = [(q, (-1) ** n * _j_term_sign(q) * coeff) for q, coeff in terms]
     return _compile(terms, p, trig=trig)
 
 
@@ -198,14 +219,14 @@ def _runner(p: int) -> Callable[..., float]:
     code: run(z, odd, even, steps).
 
     It is the kernel Horner recurrence acc <- acc/z + coeff * kernel_q, with
-    kernel_q = f(z) + sum_k w_qk f(c_k z) summed left to right as kernel_*
-    sums it, over transcendentals taken once per argument.  The nodes are
-    literals and each node term is its own statement; one long expression
-    would overflow the compiler's recursion at a few thousand nodes.
+    kernel_q = f(z) + sum_k w_qk f(c_k z) summed left to right, over
+    transcendentals taken once per argument.  The nodes are literals and
+    each node term is its own statement; one long expression would overflow
+    the compiler's recursion at a few thousand nodes.
     """
     ks = range(1, p)
     lines = ["def run(z, odd, even, steps):"]
-    lines += [f"    a{k} = {c!r} * z" for k, c in zip(ks, make_nodes(p).nodes)]
+    lines += [f"    a{k} = {c!r} * z" for k, c in zip(ks, make_nodes(p))]
     for fn, f in (("odd", "o"), ("even", "e")):
         lines.append(f"    if {fn} is not None:")
         lines.append(f"        {f}0 = {fn}(z)")
@@ -263,7 +284,7 @@ def _trapezoid_weights(p: int) -> tuple[float, ...]:
     # w(m) = (1 + 2 sum_k c_k**(2m)) / (2p), the 4p-point trapezoidal mean of
     # cos**(2m), from running node powers; w(0) = 1 because the order-0
     # approximant adds its constant 1 on top of the kernel.
-    squares = [c * c for c in make_nodes(p).nodes]
+    squares = [c * c for c in make_nodes(p)]
     powers = [1.0] * len(squares)
     weights = [1.0]
     for _ in range(4 * p + _SERIES_TERMS_MAX):
@@ -423,7 +444,7 @@ def _node_sum(n: int, p: int, az: float) -> float:
     # the bounds of the nodes after it.
     total = _spherical_j(n - 1, az)
     scale = 1.0 / double_factorial(2 * n - 1)
-    for w, c in zip(_node_weights(p, n + 1), make_nodes(p).nodes):
+    for w, c in zip(_node_weights(p, n + 1), make_nodes(p)):
         x = c * az
         if w * x ** (n - 1) * scale < 0.5 * math.ulp(total):
             break

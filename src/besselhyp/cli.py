@@ -142,7 +142,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     for n in range(1, args.n_max + 1):
-        print(" ".join(str(c) for c in derive_expansion(n).coefficients()))
+        print(" ".join(str(c) for c in derive_expansion(n)))
     return EXIT_OK
 
 

@@ -2,8 +2,11 @@
 
 Applying the operator (1/z)(d/dz) n times to the index-0 cosh kernel
 produces a signed-integer combination of kernels with indices q = 1..n
-attached to the powers z**(q - 2n).  Those integers are derived three
-independent ways:
+attached to the powers z**(q - 2n): odd q sinh-like, even q cosh-like.
+An expansion is therefore just its coefficients, the Rayleigh integers
+a(n, 1..n) of the reverse Bessel polynomial (DLMF 10.49.1), held as a
+tuple whose index i is q = i + 1; parity and power follow from q.  Those
+integers are derived three independent ways:
 
 * symbolically, by rewriting the term list under the exact derivative
   rules (`derive_expansion`, the authoritative route),
@@ -18,15 +21,8 @@ grow like the double factorial of 2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-
-from .kernels import KernelKind
-
-#: Scope of the exhaustive cross-check properties.  Derivation itself is
-#: exact and has no hard ceiling.
-DEFAULT_N_MAX = 20
 
 
 def double_factorial(m: int) -> int:
@@ -44,34 +40,12 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Term:
-    """One summand of the order-n expansion: coeff * z**(q - 2n) * kernel(q),
-    sinh- or cosh-kind."""
-
-    coeff: int
-    q: int
-    kind: KernelKind
-
-
-@dataclass(frozen=True)
-class TermExpansion:
-    """Expansion of the order-n operator image, terms ordered by q.
-
-    For order n >= 1 there are exactly n terms, q = 1..n, odd q sinh-kind,
-    even q cosh-kind, and the q = n coefficient equal to 1.
-    """
-
-    order: int
-    terms: tuple[Term, ...]
-
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(t.coeff for t in self.terms)
-
-
 @lru_cache(maxsize=None)
-def derive_expansion(n: int) -> TermExpansion:
+def derive_expansion(n: int) -> tuple[int, ...]:
     """Symbolic n-fold application of (1/z)(d/dz) to the index-0 cosh kernel.
+
+    Returns a(n, q) for q = 1..n, the same row `recurrence_table` builds;
+    the q = n coefficient is 1.
 
     Rewrite rules, exact on the term list:
 
@@ -97,19 +71,9 @@ def derive_expansion(n: int) -> TermExpansion:
 
     # Structural guarantees of the rewrite; cheap to keep as hard checks.
     assert sorted(cur) == [(q, q - 2 * n) for q in range(1, n + 1)]
-    terms = tuple(
-        Term(coeff=cur[(q, m)], q=q, kind=KernelKind.for_index(q))
-        for (q, m) in sorted(cur)
-    )
-    assert terms[-1].coeff == 1
-    return TermExpansion(order=n, terms=terms)
-
-
-def expansion_coefficient(n: int, q: int) -> int:
-    """Coefficient of z**(q-2n) * kernel(q) in the order-n expansion."""
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
-    return derive_expansion(n).terms[q - 1].coeff
+    coeffs = tuple(cur[key] for key in sorted(cur))
+    assert coeffs[-1] == 1
+    return coeffs
 
 
 def recurrence_table(n_max: int) -> dict[int, tuple[int, ...]]:
@@ -147,7 +111,7 @@ def closed_form_coefficient(n: int, q: int) -> int:
     The q = 4 value is the factorial-weighted sum of double factorials
     2**(n-4-j) (n-3)!/j! (2j+1)!! over j = 0..n-4, with overall sign
     (-1)**n.  Its general-n validity is asserted against the symbolic route
-    for n <= DEFAULT_N_MAX only, not assumed beyond.
+    for n <= 31, every order a p <= 8 approximant uses, not assumed beyond.
     """
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")

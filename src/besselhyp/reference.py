@@ -177,19 +177,12 @@ def tail_I0(p: int, z: float, policy: SeriesPolicy | None = None) -> float:
     return 2.0 * _lacunary(ref_I, 4 * p, z, policy)
 
 
-def _averaged_cosh(p: int, z: float) -> float:
+def _averaged(fn: Callable[[float], float], p: int, z: float) -> float:
     # Node-averaged form built from elementary functions exactly as written:
-    # (1 + cosh z + 2 sum_k cosh(z cos(k pi / 2p))) / (2p).
-    total = 1.0 + math.cosh(z)
+    # (1 + fn(z) + 2 sum_k fn(z cos(k pi / 2p))) / (2p), fn = cosh or cos.
+    total = 1.0 + fn(z)
     for k in range(1, p):
-        total += 2.0 * math.cosh(z * math.cos(k * math.pi / (2 * p)))
-    return total / (2 * p)
-
-
-def _averaged_cos(p: int, z: float) -> float:
-    total = 1.0 + math.cos(z)
-    for k in range(1, p):
-        total += 2.0 * math.cos(z * math.cos(k * math.pi / (2 * p)))
+        total += 2.0 * fn(z * math.cos(k * math.pi / (2 * p)))
     return total / (2 * p)
 
 
@@ -219,10 +212,10 @@ def identity_residual(
         if p is None or p < 1:
             raise ValueError("identity N4P needs an accuracy parameter p >= 1")
         rhs = ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 4 * p, z, policy)
-        return _averaged_cosh(p, z) - rhs
+        return _averaged(math.cosh, p, z) - rhs
     if which == "J4P":
         if p is None or p < 1:
             raise ValueError("identity J4P needs an accuracy parameter p >= 1")
         rhs = ref_J(0, z, policy) + 2.0 * _lacunary(ref_J, 4 * p, z, policy)
-        return _averaged_cos(p, z) - rhs
+        return _averaged(math.cos, p, z) - rhs
     raise ValueError(f"unknown identity tag {which!r}; expected one of {IDENTITY_TAGS}")

@@ -1,12 +1,15 @@
 """Independent fixtures the tests compare the package against.
 
-None is part of the package: ``closed_form_p2`` keeps the printed two-node
-closed forms as literals, ``_approx_J_complex`` reaches J by rotating the
-hyperbolic assembly in complex arithmetic, without the plan's sign pattern,
-and ``hp_approx_per_term``/``hp_ref_mpf_loop`` are the straightforward
-mpmath twins (one transcendental per node per term, and the ascending
-series summed in mpf) that the fast twins in ``besselhyp.analysis`` must
-agree with.  ``spherical_approximant`` builds the approximant from mpmath's
+None is part of the package: ``kernel_sinh``/``kernel_cosh``/``kernel_sin``/
+``kernel_cos`` are the per-term kernel sums, one transcendental per node
+and term, that the compiled plan must equal bit for bit; ``closed_form_p2``
+keeps the printed two-node closed forms as literals, ``_approx_J_complex``
+reaches J by rotating the hyperbolic assembly in complex arithmetic,
+without the plan's sign pattern, and ``hp_approx_per_term``/
+``hp_ref_mpf_loop`` are the straightforward mpmath twins (one
+transcendental per node per term, and the ascending series summed in mpf)
+that the fast twins in ``besselhyp.analysis`` must agree with.
+``spherical_approximant`` builds the approximant from mpmath's
 half-integer Bessel functions, apart from the repository's algebra, and
 ``ref_I_accumulator``/``ref_J_accumulator`` keep the oracle loops that sum
 through a Neumaier accumulator object, which ``ref_I``/``ref_J`` must match
@@ -15,29 +18,76 @@ bit for bit.
 
 import cmath
 import math
+from typing import Callable
 
 import mpmath as mp
 
-from besselhyp.approximation import _compile, _j_term_sign
-from besselhyp.coefficients import Term, derive_expansion
-from besselhyp.kernels import KernelKind, kernel_cosh, make_nodes, node_power
+from besselhyp.approximation import _compile, _j_term_sign, _node_power, make_nodes
+from besselhyp.coefficients import derive_expansion
 from besselhyp.reference import SeriesPolicy, _leading_term, _validate
 
+#: Every order a p <= 8 approximant uses (n < 4p); the coefficient routes
+#: are cross-checked over all of them.
+N_MAX_TESTED = 4 * 8 - 1
+
+
+def _require_finite(z: float) -> None:
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z!r}")
+
+
+def _weighted_sum(fn: Callable[[float], float], q: int, nodes: tuple[float, ...],
+                  z: float) -> float:
+    total = fn(z)
+    for c in nodes:
+        total += 2.0 * _node_power(c, q) * fn(c * z)
+    return total
+
+
+def kernel_sinh(q: int, nodes: tuple[float, ...], z: float) -> float:
+    """sinh(z) + sum_k 2 c_k**q sinh(c_k z), defined for q >= 1."""
+    if q < 1:
+        raise ValueError(f"sinh kernel index must be >= 1, got {q}")
+    _require_finite(z)
+    return _weighted_sum(math.sinh, q, nodes, z)
+
+
+def kernel_cosh(q: int, nodes: tuple[float, ...], z: float) -> float:
+    """cosh(z) + sum_k 2 c_k**q cosh(c_k z), defined for q >= 0.
+
+    Note the index-0 kernel carries no constant term; callers that need the
+    averaged identity form add the 1 themselves.
+    """
+    if q < 0:
+        raise ValueError(f"cosh kernel index must be >= 0, got {q}")
+    _require_finite(z)
+    return _weighted_sum(math.cosh, q, nodes, z)
+
+
+def kernel_sin(q: int, nodes: tuple[float, ...], z: float) -> float:
+    """Circular counterpart of kernel_sinh: sin(z) + sum_k 2 c_k**q sin(c_k z)."""
+    if q < 1:
+        raise ValueError(f"sin kernel index must be >= 1, got {q}")
+    _require_finite(z)
+    return _weighted_sum(math.sin, q, nodes, z)
+
+
+def kernel_cos(q: int, nodes: tuple[float, ...], z: float) -> float:
+    """Circular counterpart of kernel_cosh: cos(z) + sum_k 2 c_k**q cos(c_k z)."""
+    if q < 0:
+        raise ValueError(f"cos kernel index must be >= 0, got {q}")
+    _require_finite(z)
+    return _weighted_sum(math.cos, q, nodes, z)
+
+
 # Printed two-node closed forms, hard-coded rather than derived, so they can
-# lock the derivation down.  The order-3 form counts its cosh combination
-# once (coefficient -3); the assembled expansion admits exactly one such
-# term.
-_P2_PRINTED: dict[int, tuple[Term, ...]] = {
-    1: (Term(1, 1, KernelKind.SINH),),
-    2: (
-        Term(-1, 1, KernelKind.SINH),
-        Term(1, 2, KernelKind.COSH),
-    ),
-    3: (
-        Term(3, 1, KernelKind.SINH),
-        Term(-3, 2, KernelKind.COSH),
-        Term(1, 3, KernelKind.SINH),
-    ),
+# lock the derivation down: a(n, q) for q = 1..n.  The order-3 form counts
+# its cosh combination once (coefficient -3); the assembled expansion admits
+# exactly one such term.
+_P2_PRINTED: dict[int, tuple[int, ...]] = {
+    1: (1,),
+    2: (-1, 1),
+    3: (3, -3, 1),
 }
 
 
@@ -57,7 +107,7 @@ def closed_form_p2(n: int, z: float) -> float:
         raise ValueError("closed forms for n >= 2 divide by z; need z != 0")
     if n == 0:
         return (1.0 + kernel_cosh(0, make_nodes(2), z)) / 4.0
-    run, odd, even, steps = _compile(_P2_PRINTED[n], 2, trig=False)
+    run, odd, even, steps = _compile(enumerate(_P2_PRINTED[n], 1), 2, trig=False)
     return run(z, odd, even, steps) / 4.0
 
 
@@ -74,18 +124,16 @@ def _approx_J_complex(n: int, p: int, z: float) -> complex:
     nodes = make_nodes(p)
     if n == 0:
         total = cmath.cosh(w)
-        for c in nodes.nodes:
+        for c in nodes:
             total += 2.0 * cmath.cosh(c * w)
         return (1.0 + total) / (2 * p)
     acc = complex(0.0, 0.0)
-    first = True
-    for term in derive_expansion(n).terms:
-        fn = cmath.sinh if term.kind is KernelKind.SINH else cmath.cosh
+    for q, coeff in enumerate(derive_expansion(n), 1):
+        fn = cmath.sinh if q % 2 else cmath.cosh
         value = fn(w)
-        for c in nodes.nodes:
-            value += 2.0 * node_power(c, term.q) * fn(c * w)
-        acc = term.coeff * value if first else acc / w + term.coeff * value
-        first = False
+        for c in nodes:
+            value += 2.0 * _node_power(c, q) * fn(c * w)
+        acc = coeff * value if q == 1 else acc / w + coeff * value
     return (1j ** n) * acc / (2 * p)
 
 
@@ -121,13 +169,12 @@ def hp_approx_per_term(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
         if zz == 0:
             return mp.mpf(0)
         acc = mp.mpf(0)
-        first = True
-        for term in derive_expansion(n).terms:
-            fn = sinh_like if term.kind is KernelKind.SINH else cosh_like
-            value = _per_term_kernel(fn, term.q, nodes, zz)
-            coeff = term.coeff * _j_term_sign(term.q) if kind == "J" else term.coeff
-            acc = coeff * value if first else acc / zz + coeff * value
-            first = False
+        for q, coeff in enumerate(derive_expansion(n), 1):
+            fn = sinh_like if q % 2 else cosh_like
+            value = _per_term_kernel(fn, q, nodes, zz)
+            if kind == "J":
+                coeff *= _j_term_sign(q)
+            acc = coeff * value if q == 1 else acc / zz + coeff * value
         if kind == "J" and n % 2:
             acc = -acc
         return acc / (2 * p)

@@ -26,7 +26,7 @@ from besselhyp.analysis import (
     hp_error,
 )
 from besselhyp.approximation import _assemble
-from fixtures import _approx_J_complex, closed_form_p2
+from fixtures import N_MAX_TESTED, _approx_J_complex, closed_form_p2
 
 # Two-significant-figure relative-error targets for the p=2 grid.
 EXPECTED_REL_ERRORS = {
@@ -61,24 +61,24 @@ def test_criterion_1_error_table_reproduction():
 
 
 def test_criterion_2_coefficient_triple_agreement():
-    table = recurrence_table(20)
+    table = recurrence_table(N_MAX_TESTED)
     ok = True
-    for n in range(1, 21):
-        derived = derive_expansion(n).coefficients()
+    for n in range(1, N_MAX_TESTED + 1):
+        derived = derive_expansion(n)
         ok = ok and table[n] == derived
         covered = {1, 2, 3, 4, n - 1, n}
         for q in range(1, n + 1):
             if q in covered:
                 ok = ok and closed_form_coefficient(n, q) == derived[q - 1]
     pins = (
-        derive_expansion(1).coefficients() == (1,)
-        and derive_expansion(2).coefficients() == (-1, 1)
-        and derive_expansion(3).coefficients() == (3, -3, 1)
-        and derive_expansion(4).coefficients() == (-15, 15, -6, 1)
+        derive_expansion(1) == (1,)
+        and derive_expansion(2) == (-1, 1)
+        and derive_expansion(3) == (3, -3, 1)
+        and derive_expansion(4) == (-15, 15, -6, 1)
     )
     ok = ok and pins
     report(2, ok, "derivation, recurrence table and closed forms agree exactly "
-                  "for n <= 20; printed rows n <= 4 match")
+                  f"for n <= {N_MAX_TESTED}; printed rows n <= 4 match")
     assert ok
 
 

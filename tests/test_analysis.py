@@ -1,5 +1,6 @@
 """Series extraction and high-precision twin tests."""
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +29,7 @@ class TestNodePowerSum:
         assert node_power_sum(2, 8) == Fraction(9, 8)
         assert node_power_sum(3, 2) == 3
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", range(1, 9))
     def test_matched_moments(self, p):
         # Below the cutoff the weighted node powers reproduce the central
         # binomial moments exactly; at the cutoff they must not.
@@ -39,9 +40,26 @@ class TestNodePowerSum:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            node_power_sum(4, 2)
+            node_power_sum(0, 2)
         with pytest.raises(ValueError):
             node_power_sum(2, 3)
+        with pytest.raises(ValueError):
+            node_power_sum(2, -2)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rational_node_squares(self, p):
+        # cos^2(k pi / 2p) = (1 + cos(k pi / p)) / 2 is rational for p <= 3,
+        # so there the sum can be taken term by term.
+        squares = {1: (), 2: (Fraction(1, 2),), 3: (Fraction(3, 4), Fraction(1, 4))}[p]
+        for m in range(0, 80, 2):
+            assert node_power_sum(p, m) == 1 + sum(2 * s ** (m // 2) for s in squares)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_float_node_powers(self, p):
+        nodes = [math.cos(k * math.pi / (2 * p)) for k in range(1, p)]
+        for m in range(0, 80, 2):
+            floats = 1.0 + sum(2.0 * c**m for c in nodes)
+            assert float(node_power_sum(p, m)) == pytest.approx(floats, rel=1e-15, abs=0)
 
 
 class TestSeriesCoefficients:
@@ -60,7 +78,7 @@ class TestSeriesCoefficients:
         # Low orders below n cancel exactly.
         assert approximant_series_coeff(3, 2, 1) == 0
 
-    @pytest.mark.parametrize("n,p", [(n, p) for p in (1, 2, 3) for n in range(4 * p)])
+    @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])
     def test_first_mismatch(self, n, p):
         # 4p - n for n <= 2p; past that both series vanish below z**n, and
         # the leading z**n coefficient is the first that differs.

@@ -1,29 +1,21 @@
 """The package's public names."""
 
+import importlib.util
+
 import besselhyp
 
 EXPECTED = {
     "ApproxRequest",
     "Binary64OverflowError",
-    "DEFAULT_N_MAX",
     "DomainError",
     "IDENTITY_TAGS",
-    "KernelKind",
-    "NodeSet",
     "SeriesPolicy",
-    "Term",
-    "TermExpansion",
     "closed_form_coefficient",
     "default_small_z_threshold",
     "derive_expansion",
     "double_factorial",
     "evaluate",
-    "expansion_coefficient",
     "identity_residual",
-    "kernel_cos",
-    "kernel_cosh",
-    "kernel_sin",
-    "kernel_sinh",
     "make_nodes",
     "recurrence_table",
     "ref_I",
@@ -44,7 +36,13 @@ def test_every_export_resolves():
 
 
 def test_removed_names_are_gone():
-    # One evaluate serves both kinds; the closed forms are a test fixture and
-    # the recurrence table is a plain dict of rows.
-    for name in ("approx_I", "approx_J", "closed_form_p2", "CoefficientTable"):
+    # One evaluate serves both kinds; the closed forms and the per-term
+    # kernel sums are test fixtures; the recurrence table is a plain dict of
+    # rows, an expansion a plain tuple of its coefficients and a node set a
+    # plain tuple of its nodes.
+    for name in ("approx_I", "approx_J", "closed_form_p2", "CoefficientTable",
+                 "kernel_sinh", "kernel_cosh", "kernel_sin", "kernel_cos",
+                 "KernelKind", "NodeSet", "Term", "TermExpansion",
+                 "expansion_coefficient", "DEFAULT_N_MAX"):
         assert not hasattr(besselhyp, name), name
+    assert importlib.util.find_spec("besselhyp.kernels") is None

@@ -274,7 +274,7 @@ class TestNodeSum:
         # tests/test_paths.py's bound of the one that does not.
         n, p, z = 24, 8, 20.0
         full = _spherical_j(n - 1, z)
-        for w, c in zip(_node_weights(p, n + 1), make_nodes(p).nodes):
+        for w, c in zip(_node_weights(p, n + 1), make_nodes(p)):
             full += w * _spherical_j(n - 1, c * z)
         full = z * full / (2 * p)
         calls = []

@@ -2,12 +2,12 @@
 
 ``kernel_assemble`` below keeps the kernel-sum assembly as a literal
 fixture, the way ``closed_form_p2`` keeps the printed two-node forms: one
-``kernel_*`` call per term, each taking its own sinh/cosh (sin/cos) values
-and node powers.  The cached plans behind ``_assemble`` take each
-transcendental once per argument but must add and multiply in the same
-order, so wherever the fixture is finite the two agree to the last bit, and
-wherever it overflows (``nan``, ``inf`` or a raised OverflowError) the
-assembly raises Binary64OverflowError.
+``kernel_*`` call (from ``fixtures``) per term, each taking its own
+sinh/cosh (sin/cos) values and node powers.  The cached plans behind
+``_assemble`` take each transcendental once per argument but must add and
+multiply in the same order, so wherever the fixture is finite the two agree
+to the last bit, and wherever it overflows (``nan``, ``inf`` or a raised
+OverflowError) the assembly raises Binary64OverflowError.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 
 from besselhyp import Binary64OverflowError, derive_expansion, make_nodes
 from besselhyp.approximation import _assemble, _j_term_sign, _node_weights, _plan, _runner
-from besselhyp.kernels import KernelKind, kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
+from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
 
 # Negative and fractional arguments, the cancellation region near zero, and
 # both sides of the binary64 edge of sinh/cosh (about 710.48).
@@ -25,19 +25,19 @@ ZS = (-720.0, -40.0, -12.5, -3.7, -1.0, -0.31, -1e-3, 1e-3, 0.05, 0.31, 1.0, 2.5
       711.0, 720.0)
 
 
-def kernel_horner(terms, nodes, z, *, trig):
+def kernel_horner(coeffs, nodes, z, *, trig):
+    # coeffs[i] is a(n, q) for q = i + 1: odd q sinh-like, even q cosh-like.
     sinh_like = kernel_sin if trig else kernel_sinh
     cosh_like = kernel_cos if trig else kernel_cosh
     acc = 0.0
-    first = True
-    for term in terms:
-        if term.kind is KernelKind.SINH:
-            value = sinh_like(term.q, nodes, z)
+    for q, coeff in enumerate(coeffs, 1):
+        if q % 2:
+            value = sinh_like(q, nodes, z)
         else:
-            value = cosh_like(term.q, nodes, z)
-        coeff = term.coeff * _j_term_sign(term.q) if trig else term.coeff
-        acc = coeff * value if first else acc / z + coeff * value
-        first = False
+            value = cosh_like(q, nodes, z)
+        if trig:
+            coeff *= _j_term_sign(q)
+        acc = coeff * value if q == 1 else acc / z + coeff * value
     return acc
 
 
@@ -46,7 +46,7 @@ def kernel_assemble(n, p, z, *, trig):
     if n == 0:
         cosh_like = kernel_cos if trig else kernel_cosh
         return (1.0 + cosh_like(0, nodes, z)) / (2 * p)
-    acc = kernel_horner(derive_expansion(n).terms, nodes, z, trig=trig)
+    acc = kernel_horner(derive_expansion(n), nodes, z, trig=trig)
     if trig and n % 2:
         acc = -acc
     return acc / (2 * p)

@@ -7,23 +7,20 @@ and the standalone closed forms must agree with it integer-for-integer.
 import pytest
 
 from besselhyp import (
-    DEFAULT_N_MAX,
-    KernelKind,
     closed_form_coefficient,
     derive_expansion,
     double_factorial,
-    expansion_coefficient,
     recurrence_table,
 )
+from besselhyp.approximation import _plan
+from fixtures import N_MAX_TESTED
 
-# Printed expansions for orders 1..4: (coeff, q, kind) per term.
+# Printed expansions for orders 1..4: a(n, q) for q = 1..n.
 PRINTED = {
-    1: [(1, 1, KernelKind.SINH)],
-    2: [(-1, 1, KernelKind.SINH), (1, 2, KernelKind.COSH)],
-    3: [(3, 1, KernelKind.SINH), (-3, 2, KernelKind.COSH),
-        (1, 3, KernelKind.SINH)],
-    4: [(-15, 1, KernelKind.SINH), (15, 2, KernelKind.COSH),
-        (-6, 3, KernelKind.SINH), (1, 4, KernelKind.COSH)],
+    1: (1,),
+    2: (-1, 1),
+    3: (3, -3, 1),
+    4: (-15, 15, -6, 1),
 }
 
 
@@ -41,27 +38,28 @@ class TestDoubleFactorial:
 class TestDeriveExpansion:
     @pytest.mark.parametrize("n", sorted(PRINTED))
     def test_matches_printed_low_orders(self, n):
-        got = [(t.coeff, t.q, t.kind) for t in derive_expansion(n).terms]
-        assert got == PRINTED[n]
+        assert derive_expansion(n) == PRINTED[n]
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             derive_expansion(0)
 
-    @pytest.mark.parametrize("n", range(1, DEFAULT_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_structure(self, n):
-        exp = derive_expansion(n)
-        assert len(exp.terms) == n
-        for i, term in enumerate(exp.terms):
-            assert term.q == i + 1
-            assert term.kind is (KernelKind.SINH if term.q % 2 else KernelKind.COSH)
-        assert exp.terms[-1].coeff == 1
+        # One integer per q = 1..n, the last 1; the plan takes each term's
+        # parity from q alone: odd q sinh-like, even q cosh-like.
+        coeffs = derive_expansion(n)
+        assert type(coeffs) is tuple and len(coeffs) == n
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs[-1] == 1
+        steps = _plan(n, 8, False).steps
+        assert [odd for odd, _, _ in steps] == [q % 2 == 1 for q in range(1, n + 1)]
 
-    @pytest.mark.parametrize("n", range(1, DEFAULT_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_sign_alternation(self, n):
-        for term in derive_expansion(n).terms:
-            expected_sign = 1 if (n + term.q) % 2 == 0 else -1
-            assert term.coeff * expected_sign > 0
+        for q, coeff in enumerate(derive_expansion(n), 1):
+            expected_sign = 1 if (n + q) % 2 == 0 else -1
+            assert coeff * expected_sign > 0
 
 
 class TestExpansionCoefficient:
@@ -71,12 +69,7 @@ class TestExpansionCoefficient:
         (5, 1, 105),   # equals +(2*5-3)!!, cross-checked below against the closed form
     ])
     def test_values(self, n, q, expected):
-        assert expansion_coefficient(n, q) == expected
-
-    @pytest.mark.parametrize("n,q", [(3, 0), (3, 4), (0, 1)])
-    def test_rejects_out_of_range(self, n, q):
-        with pytest.raises(ValueError):
-            expansion_coefficient(n, q)
+        assert derive_expansion(n)[q - 1] == expected
 
 
 class TestRecurrenceTable:
@@ -93,7 +86,7 @@ class TestRecurrenceTable:
     def test_row8_third_column(self):
         # (-1)**9 * (8-2) * (2*8-5)!! = -6 * 10395
         assert recurrence_table(8)[8][2] == -62370
-        assert expansion_coefficient(8, 3) == -62370
+        assert derive_expansion(8)[2] == -62370
 
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
@@ -104,10 +97,10 @@ class TestRecurrenceTable:
         with pytest.raises(KeyError):
             table[5]
 
-    @pytest.mark.parametrize("n", range(1, DEFAULT_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_agrees_with_derivation(self, n):
-        table = recurrence_table(DEFAULT_N_MAX)
-        assert table[n] == derive_expansion(n).coefficients()
+        table = recurrence_table(N_MAX_TESTED)
+        assert table[n] == derive_expansion(n)
 
 
 class TestClosedFormCoefficient:
@@ -129,9 +122,9 @@ class TestClosedFormCoefficient:
         with pytest.raises(ValueError):
             closed_form_coefficient(3, 4)
 
-    @pytest.mark.parametrize("n", range(1, DEFAULT_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_agrees_with_derivation_everywhere_covered(self, n):
         covered = {1, 2, 3, 4, n - 1, n}
-        for q in range(1, n + 1):
+        for q, coeff in enumerate(derive_expansion(n), 1):
             if q in covered:
-                assert closed_form_coefficient(n, q) == expansion_coefficient(n, q)
+                assert closed_form_coefficient(n, q) == coeff

@@ -59,7 +59,7 @@ def test_hyperbolic_near_the_overflow_edge(p):
     assert _misses("I", p, ZS_EDGE) == []
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", range(1, 9))
 def test_weights_match_the_exact_series(p):
     # The float weights w(m), through the series coefficients they give,
     # against the exact Maclaurin coefficients of the kernel assembly:

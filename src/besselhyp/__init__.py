@@ -9,7 +9,6 @@ from .approximation import (
     ApproxRequest,
     Binary64OverflowError,
     DomainError,
-    default_small_z_threshold,
     evaluate,
     make_nodes,
 )
@@ -21,7 +20,6 @@ from .coefficients import (
 )
 from .reference import (
     IDENTITY_TAGS,
-    SeriesPolicy,
     identity_residual,
     ref_I,
     ref_J,
@@ -35,9 +33,7 @@ __all__ = [
     "Binary64OverflowError",
     "DomainError",
     "IDENTITY_TAGS",
-    "SeriesPolicy",
     "closed_form_coefficient",
-    "default_small_z_threshold",
     "derive_expansion",
     "double_factorial",
     "evaluate",

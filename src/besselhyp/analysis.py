@@ -85,7 +85,7 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
     return Fraction(1, 2 * p) * weight * acc
 
 
-def first_mismatch_order(n: int, p: int, search_limit: int | None = None) -> int:
+def first_mismatch_order(n: int, p: int) -> int:
     """Lowest order whose approximant coefficient differs from the I_n series.
 
     The matched moments of the nodes predict 4p - n, and that is the answer
@@ -95,7 +95,7 @@ def first_mismatch_order(n: int, p: int, search_limit: int | None = None) -> int
     stops with an error a little beyond that, so a structurally broken build
     cannot loop.
     """
-    limit = max(4 * p - n, n) + 4 if search_limit is None else search_limit
+    limit = max(4 * p - n, n) + 4
     for t in range(limit + 1):
         if approximant_series_coeff(n, p, t) != bessel_i_series_coeff(n, t):
             return t
@@ -142,7 +142,7 @@ def _hp_kernel(values: list[mp.mpf], weights: tuple[mp.mpf, ...]) -> mp.mpf:
 
 
 def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
-    """Arbitrary-precision evaluation of the kernel assembly (no fallback).
+    """Arbitrary-precision approximant: always the kernel assembly.
 
     The assembly is evaluated directly at any z != 0, with exact integer
     coefficients and mpmath nodes, and it loses digits to the same small-z
@@ -263,17 +263,17 @@ def _is_noise(log_err: float, top: float, dps: int) -> bool:
     return log_err <= (top + _FLOOR_MARGIN_DIGITS - dps) * math.log(10)
 
 
-def _resolving_dps(kind: str, n: int, p: int, z: float, dps: int) -> int | None:
-    """Fewest working digits at which the error at z clears its rounding
-    floor by the margin, from the error measured at doubling precision; None
-    if it is still noise at 16 times ``dps``."""
+def _resolved_log_error(kind: str, n: int, p: int, z: float, dps: int) -> float | None:
+    """ln|error| at z, measured at ``dps`` digits or, where that is within
+    the margin of its rounding floor, at the first doubling of ``dps`` that
+    clears it; None if it is still noise at 16 times ``dps``."""
     top = _largest_term_digits(kind, n, p, z)
     work = dps
-    while work < 16 * dps:
-        work *= 2
+    while work <= 16 * dps:
         log_err = _log_error(kind, n, p, z, work)
         if not _is_noise(log_err, top, work):
-            return math.floor(top + _FLOOR_MARGIN_DIGITS - log_err / math.log(10)) + 2
+            return log_err
+        work *= 2
     return None
 
 
@@ -290,9 +290,10 @@ def fit_error_slope(
 
     The construction predicts a slope of max(4p - n, n) from the leading
     error term.  The assembly cancels near z = 0, so a sample's error is
-    measured only to 10**-dps times the assembly's largest term; where a
-    sample's error is within 1e3 of that floor, the fit would be of noise,
-    and ``ValueError`` names the ``dps`` that resolves every sample.
+    measured only to 10**-dps times the assembly's largest term; ``dps`` is
+    therefore a floor: a sample whose error is within 1e3 of that rounding
+    floor is measured again at doubling digits until it clears it, and
+    ``ValueError`` is raised only if it is still noise at 16 times ``dps``.
     """
     if not (0.0 < z_lo < z_hi):
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
@@ -300,22 +301,14 @@ def fit_error_slope(
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_dps(dps)
     zs = [float(z) for z in np.geomspace(z_lo, z_hi, samples)]
-    log_z = []
     log_errs = []
-    noisy = []
     for z in zs:
-        log_err = _log_error(kind, n, p, z, dps)
-        if _is_noise(log_err, _largest_term_digits(kind, n, p, z), dps):
-            noisy.append(z)
-            continue
-        log_z.append(math.log(z))
+        log_err = _resolved_log_error(kind, n, p, z, dps)
+        if log_err is None:
+            raise ValueError(
+                f"the error at z={z} is within 1e3 of the rounding floor even at "
+                f"{16 * dps} digits; the fit needs more than --dps {16 * dps}")
         log_errs.append(log_err)
-    if noisy:
-        needed = [_resolving_dps(kind, n, p, z, dps) for z in noisy]
-        advice = (f"at least --dps {max(needed)}" if None not in needed
-                  else f"more than --dps {16 * dps}")
-        raise ValueError(
-            f"the error at {len(noisy)} of {samples} samples (from z={noisy[0]}) is "
-            f"within 1e3 of the rounding floor of {dps} digits; the fit needs {advice}")
+    log_z = [math.log(z) for z in zs]
     slope, _ = np.polyfit(np.asarray(log_z), np.asarray(log_errs), 1)
     return float(slope)

@@ -65,41 +65,29 @@ class DomainError(ValueError):
 class Binary64OverflowError(DomainError, OverflowError):
     """The approximant at this argument does not fit in binary64.
 
-    Raised where a kernel value, a term or the assembled sum overflows; for
-    I that starts near |z| = 710.  It is also an OverflowError, which is what
-    the hyperbolic functions themselves raise.
+    Raised where sinh/cosh themselves overflow, for I above about
+    |z| = 710.48, or where the value itself does.  It is also an
+    OverflowError, which is what the hyperbolic functions themselves raise.
     """
-
-
-def default_small_z_threshold(n: int) -> float:
-    """Default |z| below which the series is taken without a cost comparison.
-
-    Below it the first term ratio is at most (n + 1)/64 < 1/2, so the
-    series is well-conditioned for both kinds.
-    """
-    return 0.25 * (n + 1)
 
 
 @dataclass(frozen=True)
 class ApproxRequest:
     """One evaluation request: function kind, order, accuracy, argument.
 
-    ``eps`` forces the series below it (``None`` selects the default
-    0.25 * (n + 1)); a J series that is ill-conditioned there still gives
-    way to the other paths.  Requests are validated once, on construction,
-    and each field is stored once; in particular n < 4p is required for the
-    approximant to have any matched series terms, and ``z`` is stored as a
-    float.
+    Requests are validated once, on construction, and each field is stored
+    once; in particular n < 4p is required for the approximant to have any
+    matched series terms, and ``z`` is stored as a float.  The read-only
+    ``eps`` is the |z| = 0.25 (n + 1) below which evaluate takes the series
+    without a cost comparison; it is derived from ``n``, not set.
     """
 
     kind: str
     n: int
     p: int
     z: float
-    eps: float | None = None
 
-    def __init__(self, kind: str, n: int, p: int, z: float,
-                 eps: float | None = None) -> None:
+    def __init__(self, kind: str, n: int, p: int, z: float) -> None:
         # Validates the raw arguments, then stores each field once, straight
         # into the instance dict: the class is frozen, this is its only
         # writer, and item stores cost less than object.__setattr__.
@@ -120,16 +108,21 @@ class ApproxRequest:
                 f"order n={n} needs n < 4p = {4 * p}; "
                 "no series terms are matched beyond that"
             )
-        if eps is None:
-            eps = default_small_z_threshold(n)
-        elif not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {eps!r}")
         fields = self.__dict__
         fields["kind"] = kind
         fields["n"] = n
         fields["p"] = p
         fields["z"] = z
-        fields["eps"] = eps
+
+    @property
+    def eps(self) -> float:
+        return _forced_series_below(self.n)
+
+
+def _forced_series_below(n: int) -> float:
+    # Below it the first term ratio is at most (n + 1)/64 < 1/2, so the
+    # series is well-conditioned for both kinds.
+    return 0.25 * (n + 1)
 
 
 def _require_int(name: str, value: object) -> None:
@@ -253,17 +246,52 @@ def _plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
     run, odd, even, steps = plan
     try:
         acc = run(z, odd, even, steps)
-    except OverflowError:  # sinh/cosh, or a coefficient beyond binary64
+    except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
         acc = math.inf
     if not math.isfinite(acc):
-        if not math.isfinite(z):
-            raise ValueError(f"argument must be finite, got {z!r}")
-        raise Binary64OverflowError(
-            f"approximant of order n={n} at p={p} overflows binary64 at z={z!r}"
-        )
+        return _rescaled_plan_value(plan, n, p, z)
     if n == 0:
         return (1.0 + acc) / (2 * p)
     return acc / (2 * p)
+
+
+def _term_bounds(plan: _Plan) -> tuple[float, ...]:
+    # |a(n, q)| (1 + sum_k 2 c_k**q) per term in plan order: the largest
+    # |coeff * kernel_q| over transcendentals of magnitude at most 1.
+    return tuple(abs(coeff) * (1.0 + sum(row)) for _, coeff, row in plan.steps)
+
+
+def _rescaled_plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
+    """The plan's value where running it overflowed: the same runner over
+    sinh/cosh (sin/cos) scaled by an exact 2**-m, scaled back by 2**m.
+
+    Power-of-two scaling commutes with every rounding the runner does, so
+    the value is the one an unbounded exponent range would give, and m is
+    taken so that every term (see _term_bounds) and their sum stay in range.
+    Only a transcendental that overflows itself, or a value beyond binary64,
+    raises.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z!r}")
+    run, odd, even, steps = plan
+    m = math.frexp(len(steps) * max(_term_bounds(plan)))[1]
+    scale = math.ldexp(1.0, -m)
+
+    def scaled(f: Callable[[float], float] | None) -> Callable[[float], float] | None:
+        return None if f is None else lambda x: f(x) * scale
+
+    try:
+        acc = run(z, scaled(odd), scaled(even), steps)
+        if n == 0:
+            acc += scale
+        value = math.ldexp(acc / (2 * p), m)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise Binary64OverflowError(
+            f"approximant of order n={n} at p={p} overflows binary64 at z={z!r}"
+        )
+    return value
 
 
 #: A series stops once a term falls below this fraction of the partial sum.
@@ -340,7 +368,8 @@ def _series(n: int, p: int) -> tuple[float, tuple[float, ...]]:
 class _Route(NamedTuple):
     """How one (kind, n, p) evaluates a point.
 
-    The series takes |z| below ``series_below``, from ``lead`` and
+    The series takes |z| below ``series_below``, at least the forced-series
+    threshold 0.25 (n + 1), from ``lead`` and
     ``ratios`` (see _series), and ``plan`` the rest.  For J with n >= 2,
     ``bound`` holds |a(n, q)| (1 + sum_k 2 c_k**q) in plan order, whose
     Horner sum in 1/|z| bounds the plan's terms; the plan is tried while
@@ -362,13 +391,14 @@ def _route(n: int, p: int, trig: bool) -> _Route:
     lead, ratios = _series(n, p)
     plan = _plan(n, p, trig)
     if not trig:
-        return _Route(_series_reach(n, p), lead, ratios, plan, (), 0.0, 0.0)
-    # The alternating series is well-conditioned below the default eps and
-    # cancels by about _COND_MAX near |z| = 6 + 0.45 n.
-    below = min(max(_crossover(n, p), default_small_z_threshold(n)), 6.0 + 0.45 * n)
+        below = max(_series_reach(n, p), _forced_series_below(n))
+        return _Route(below, lead, ratios, plan, (), 0.0, 0.0)
+    # The alternating series is well-conditioned below the forced-series
+    # threshold and cancels by about _COND_MAX near |z| = 6 + 0.45 n.
+    below = min(max(_crossover(n, p), _forced_series_below(n)), 6.0 + 0.45 * n)
     if n < 2:
         return _Route(below, lead, ratios, plan, (), 0.0, 0.0)
-    bound = tuple(abs(coeff) * (1.0 + sum(row)) for _, coeff, row in plan.steps)
+    bound = _term_bounds(plan)
     # |A_n| <= (1 + sum_k 2 c_k**n) / 2p times the largest |x j_{n-1}(x)|,
     # taken as 2.
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
@@ -456,7 +486,7 @@ def evaluate(req: ApproxRequest) -> float:
     """Evaluate the approximant of I_n (kind "I") or J_n (kind "J").
 
     Each point takes the cheapest well-conditioned path: the series below
-    the (kind, n, p) crossover or ``eps``, else the plan; for J with
+    the (kind, n, p) crossover or ``req.eps``, else the plan; for J with
     n >= 2 the plan only where its Horner bound stays within the condition
     limit of the result, else the node sum by recurrence.
     """
@@ -464,7 +494,7 @@ def evaluate(req: ApproxRequest) -> float:
     trig = req.kind == "J"
     below, lead, ratios, plan, bound, reach, limit = _route(n, p, trig)
     az = abs(z)
-    if az < req.eps or az < below:
+    if az < below:
         value = _sum_series(lead, ratios, n, az, trig)
         if value is not None:
             return -value if z < 0 and n % 2 else value

@@ -27,7 +27,7 @@ from functools import cache
 from .analysis import fit_error_slope
 from .approximation import ApproxRequest, DomainError, evaluate
 from .coefficients import derive_expansion
-from .reference import SeriesPolicy, identity_residual, ref_I, ref_J
+from .reference import identity_residual, ref_I, ref_J
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,9 +53,8 @@ class EvalReport:
     rel_err_is_abs: bool = False
 
 
-def make_report(kind: str, n: int, p: int, z: float,
-                eps: float | None = None) -> EvalReport:
-    req = ApproxRequest(kind=kind, n=n, p=p, z=z, eps=eps)
+def make_report(kind: str, n: int, p: int, z: float) -> EvalReport:
+    req = ApproxRequest(kind=kind, n=n, p=p, z=z)
     start = time.perf_counter_ns()
     value = evaluate(req)
     elapsed = time.perf_counter_ns() - start
@@ -123,7 +122,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    report = make_report(args.kind, args.n, args.p, args.z, eps=args.eps)
+    report = make_report(args.kind, args.n, args.p, args.z)
     _emit_reports([report], args.format, args.full)
     return EXIT_OK
 
@@ -131,11 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     orders = sorted(set(_parse_ints(args.n)))
     zs = sorted(set(_parse_floats(args.z)))
-    reports = [
-        make_report(args.kind, n, args.p, z, eps=args.eps)
-        for n in orders
-        for z in zs
-    ]
+    reports = [make_report(args.kind, n, args.p, z) for n in orders for z in zs]
     _emit_reports(reports, args.format, args.full)
     return EXIT_OK
 
@@ -175,10 +170,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
     zs = _parse_floats(args.z)
-    requests = [ApproxRequest(kind=args.kind, n=args.n, p=args.p, z=z, eps=args.eps)
-                for z in zs]
+    requests = [ApproxRequest(kind=args.kind, n=args.n, p=args.p, z=z) for z in zs]
     oracle = ref_I if args.kind == "I" else ref_J
-    policy = SeriesPolicy()
 
     approx_samples = []
     for _ in range(args.repetitions):
@@ -190,7 +183,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for _ in range(args.repetitions):
         start = time.perf_counter_ns()
         for z in zs:
-            oracle(args.n, z, policy)
+            oracle(args.n, z)
         oracle_samples.append((time.perf_counter_ns() - start) / len(zs))
 
     approx_ns = statistics.median(approx_samples)
@@ -255,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-n", type=int, required=True, help="order")
     p_eval.add_argument("-p", type=int, required=True, help="accuracy parameter")
     p_eval.add_argument("-z", type=float, required=True, help="argument")
-    p_eval.add_argument("--eps", type=float, default=None,
-                        help="|z| below which the series is forced")
     _add_format_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -266,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("-p", type=int, default=2)
     p_table.add_argument("-z", default="1,2,3,4",
                          help="comma list or a:b:steps range")
-    p_table.add_argument("--eps", type=float, default=None)
     _add_format_flags(p_table)
     p_table.set_defaults(func=cmd_table)
 
@@ -292,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("-n", type=int, required=True)
     p_bench.add_argument("-p", type=int, required=True)
     p_bench.add_argument("-z", default="0.5:4:8")
-    p_bench.add_argument("--eps", type=float, default=None)
     p_bench.add_argument("--repetitions", type=int, default=100)
     _add_format_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

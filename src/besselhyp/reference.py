@@ -3,7 +3,9 @@
 Everything the approximants are measured against comes from this module: a
 from-scratch ascending power series in binary64 with compensated summation,
 never a platform Bessel routine.  Library implementations may appear in the
-test suite as an additional cross-check, but the oracle is this one.
+test suite as an additional cross-check, but the oracle is this one.  Its
+stopping rule is fixed: a series stops once a term falls below 1e-15 of
+the partial sum (for J, two terms in a row), or after 200 terms.
 
 Arguments are capped at |z| <= 30 and orders at n <= 64.  Against the
 fixed-point series ``analysis.hp_ref``, the largest relative error over
@@ -15,15 +17,13 @@ and 30.  ref_J's alternating sum cancels as |z| grows: its largest is
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
-
-ORACLE_TOL_ENV = "BESSELHYP_ORACLE_TOL"
 
 Z_MAX = 30.0
 N_MAX = 64
+
+_TOL = 1e-15
+_MAX_TERMS = 200
 
 #: Tags of the supported node-sum identities, checked as (lhs - rhs):
 #:   N2   cosh z                       = I_0 + 2 (I_2 + I_4 + ...)
@@ -32,46 +32,6 @@ N_MAX = 64
 #:   N4P  node-averaged cosh sum at parameter p = I_0 + 2 sum_k I_{4pk}
 #:   J4P  circular variant of N4P     = J_0 + 2 sum_k J_{4pk}
 IDENTITY_TAGS = ("N2", "N4", "N8", "N4P", "J4P")
-
-
-def _tol_from(raw: str | None) -> float:
-    if raw is None:
-        return 1e-15
-    tol = float(raw)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{ORACLE_TOL_ENV} must be a positive float, got {raw!r}")
-    return tol
-
-
-def _default_tol() -> float:
-    return _tol_from(os.environ.get(ORACLE_TOL_ENV))
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control: stop when a term falls below tol * partial sum,
-    or after max_terms at the latest.  The default tolerance honours the
-    BESSELHYP_ORACLE_TOL environment variable (default 1e-15)."""
-
-    tol: float = field(default_factory=_default_tol)
-    max_terms: int = 200
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-@lru_cache(maxsize=8)
-def _policy_for(raw: str | None) -> SeriesPolicy:
-    return SeriesPolicy(tol=_tol_from(raw))
-
-
-def _default_policy() -> SeriesPolicy:
-    # What SeriesPolicy() gives, built once per value of the environment
-    # variable, which is still read on every call.
-    return _policy_for(os.environ.get(ORACLE_TOL_ENV))
 
 
 def _validate(n: int, z: float) -> None:
@@ -90,16 +50,15 @@ def _leading_term(n: int, z: float) -> float:
     return term
 
 
-def ref_I(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+def ref_I(n: int, z: float) -> float:
     """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
-    policy = policy or _default_policy()
     _validate(n, z)
-    tol = policy.tol
+    tol = _TOL
     term = _leading_term(n, z)
     # Neumaier-compensated sum of the terms, in locals.
     total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = 0.25 * z * z
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
         t = total + term
         if abs(total) >= abs(term):
@@ -112,20 +71,19 @@ def ref_I(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     return total + carry
 
 
-def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+def ref_J(n: int, z: float) -> float:
     """Alternating series for J_n, with a two-term lookahead stop.
 
     The lookahead guards against stopping on an accidentally small term of
     an alternating sum before its neighbour has been folded in.
     """
-    policy = policy or _default_policy()
     _validate(n, z)
-    tol = policy.tol
+    tol = _TOL
     term = _leading_term(n, z)
     # Neumaier-compensated sum of the terms, in locals.
     total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = -0.25 * z * z
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
         t = total + term
         if abs(total) >= abs(term):
@@ -140,9 +98,8 @@ def ref_J(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
     return total + carry
 
 
-def _lacunary(ref: Callable[[int, float, SeriesPolicy], float], step: int, z: float,
-              policy: SeriesPolicy) -> float:
-    """sum_{k>=1} ref(step*k, z), truncated at the policy tolerance.
+def _lacunary(ref: Callable[[int, float], float], step: int, z: float) -> float:
+    """sum_{k>=1} ref(step*k, z), truncated at the series tolerance.
 
     ``ref`` is ref_I or ref_J.  The sum must start within the oracle's
     orders; past N_MAX it would have no term and read as 0.0.
@@ -155,26 +112,25 @@ def _lacunary(ref: Callable[[int, float, SeriesPolicy], float], step: int, z: fl
     acc = 0.0
     k = 1
     while step * k <= N_MAX:
-        term = ref(step * k, z, policy)
+        term = ref(step * k, z)
         acc += term
-        if abs(term) <= policy.tol * max(abs(acc), 1.0):
+        if abs(term) <= _TOL * max(abs(acc), 1.0):
             break
         k += 1
     return acc
 
 
-def tail_I0(p: int, z: float, policy: SeriesPolicy | None = None) -> float:
+def tail_I0(p: int, z: float) -> float:
     """The lacunary remainder 2 sum_{k>=1} I_{4pk}(z).
 
     This is exactly what separates the order-0 approximant at parameter p
     from I_0; it is positive for z > 0 and strictly decreasing in p.  The
     oracle's n <= 64 limits it to 4p <= 64.
     """
-    policy = policy or _default_policy()
     if p < 1:
         raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
     _validate(0, z)
-    return 2.0 * _lacunary(ref_I, 4 * p, z, policy)
+    return 2.0 * _lacunary(ref_I, 4 * p, z)
 
 
 def _averaged(fn: Callable[[float], float], p: int, z: float) -> float:
@@ -186,36 +142,30 @@ def _averaged(fn: Callable[[float], float], p: int, z: float) -> float:
     return total / (2 * p)
 
 
-def identity_residual(
-    which: str,
-    z: float,
-    p: int | None = None,
-    policy: SeriesPolicy | None = None,
-) -> float:
+def identity_residual(which: str, z: float, p: int | None = None) -> float:
     """Signed residual (left side) - (right side) of a node-sum identity.
 
-    The right side's infinite lacunary sum is truncated at the policy
+    The right side's infinite lacunary sum is truncated at the series
     tolerance; each identity is exact, so residuals sit at round-off level.
     ``p`` is required for the N4P and J4P families and ignored otherwise.
     """
-    policy = policy or _default_policy()
     _validate(0, z)
     if which == "N2":
-        return math.cosh(z) - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 2, z, policy))
+        return math.cosh(z) - (ref_I(0, z) + 2.0 * _lacunary(ref_I, 2, z))
     if which == "N4":
         lhs = math.cosh(0.5 * z) ** 2
-        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 4, z, policy))
+        return lhs - (ref_I(0, z) + 2.0 * _lacunary(ref_I, 4, z))
     if which == "N8":
         lhs = 0.25 * (1.0 + math.cosh(z) + 2.0 * math.cosh(z / math.sqrt(2.0)))
-        return lhs - (ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 8, z, policy))
+        return lhs - (ref_I(0, z) + 2.0 * _lacunary(ref_I, 8, z))
     if which == "N4P":
         if p is None or p < 1:
             raise ValueError("identity N4P needs an accuracy parameter p >= 1")
-        rhs = ref_I(0, z, policy) + 2.0 * _lacunary(ref_I, 4 * p, z, policy)
+        rhs = ref_I(0, z) + 2.0 * _lacunary(ref_I, 4 * p, z)
         return _averaged(math.cosh, p, z) - rhs
     if which == "J4P":
         if p is None or p < 1:
             raise ValueError("identity J4P needs an accuracy parameter p >= 1")
-        rhs = ref_J(0, z, policy) + 2.0 * _lacunary(ref_J, 4 * p, z, policy)
+        rhs = ref_J(0, z) + 2.0 * _lacunary(ref_J, 4 * p, z)
         return _averaged(math.cos, p, z) - rhs
     raise ValueError(f"unknown identity tag {which!r}; expected one of {IDENTITY_TAGS}")

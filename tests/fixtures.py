@@ -24,7 +24,7 @@ import mpmath as mp
 
 from besselhyp.approximation import _compile, _j_term_sign, _node_power, make_nodes
 from besselhyp.coefficients import derive_expansion
-from besselhyp.reference import SeriesPolicy, _leading_term, _validate
+from besselhyp.reference import _MAX_TERMS, _TOL, _leading_term, _validate
 
 #: Every order a p <= 8 approximant uses (n < 4p); the coefficient routes
 #: are cross-checked over all of them.
@@ -254,38 +254,36 @@ class _CompensatedSum:
         return self.total + self.carry
 
 
-def ref_I_accumulator(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+def ref_I_accumulator(n: int, z: float) -> float:
     """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
-    policy = policy or SeriesPolicy()
     _validate(n, z)
     term = _leading_term(n, z)
     acc = _CompensatedSum()
     acc.add(term)
     ratio = 0.25 * z * z
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
         acc.add(term)
-        if abs(term) <= policy.tol * abs(acc.value()):
+        if abs(term) <= _TOL * abs(acc.value()):
             break
     return acc.value()
 
 
-def ref_J_accumulator(n: int, z: float, policy: SeriesPolicy | None = None) -> float:
+def ref_J_accumulator(n: int, z: float) -> float:
     """Alternating series for J_n, with a two-term lookahead stop.
 
     The lookahead guards against stopping on an accidentally small term of
     an alternating sum before its neighbour has been folded in.
     """
-    policy = policy or SeriesPolicy()
     _validate(n, z)
     term = _leading_term(n, z)
     acc = _CompensatedSum()
     acc.add(term)
     ratio = -0.25 * z * z
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
         acc.add(term)
-        bound = policy.tol * abs(acc.value())
+        bound = _TOL * abs(acc.value())
         lookahead = abs(term * ratio) / ((k + 1) * (n + k + 1))
         if abs(term) <= bound and lookahead <= bound:
             break

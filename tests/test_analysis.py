@@ -214,6 +214,7 @@ class TestSlopeFit:
             fit_error_slope("I", 0, 1, 0.1, 0.5, dps=0)
 
     def test_zero_error_names_dps(self):
-        # At 5 digits the approximant and the series agree exactly.
-        with pytest.raises(ValueError, match="--dps"):
-            fit_error_slope("I", 0, 1, 0.1, 0.5, samples=8, dps=5)
+        # The (0, 8) error, below 1e-70, is exactly zero at 2 digits and at
+        # every doubling of them up to 32.
+        with pytest.raises(ValueError, match="--dps 32"):
+            fit_error_slope("I", 0, 8, 0.1, 0.5, samples=8, dps=2)

@@ -1,17 +1,21 @@
-"""The package's public names."""
+"""The package's public names, and the settings it does not have."""
 
 import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
 
 import besselhyp
+from besselhyp import cli
+from besselhyp.analysis import first_mismatch_order
 
 EXPECTED = {
     "ApproxRequest",
     "Binary64OverflowError",
     "DomainError",
     "IDENTITY_TAGS",
-    "SeriesPolicy",
     "closed_form_coefficient",
-    "default_small_z_threshold",
     "derive_expansion",
     "double_factorial",
     "evaluate",
@@ -39,10 +43,44 @@ def test_removed_names_are_gone():
     # One evaluate serves both kinds; the closed forms and the per-term
     # kernel sums are test fixtures; the recurrence table is a plain dict of
     # rows, an expansion a plain tuple of its coefficients and a node set a
-    # plain tuple of its nodes.
+    # plain tuple of its nodes; the oracle's stopping rule and the
+    # forced-series threshold are constants.
     for name in ("approx_I", "approx_J", "closed_form_p2", "CoefficientTable",
                  "kernel_sinh", "kernel_cosh", "kernel_sin", "kernel_cos",
                  "KernelKind", "NodeSet", "Term", "TermExpansion",
-                 "expansion_coefficient", "DEFAULT_N_MAX"):
+                 "expansion_coefficient", "DEFAULT_N_MAX",
+                 "SeriesPolicy", "default_small_z_threshold"):
         assert not hasattr(besselhyp, name), name
     assert importlib.util.find_spec("besselhyp.kernels") is None
+
+
+SIGNATURES = [
+    (besselhyp.ApproxRequest, ["kind", "n", "p", "z"]),
+    (besselhyp.ref_I, ["n", "z"]),
+    (besselhyp.ref_J, ["n", "z"]),
+    (besselhyp.tail_I0, ["p", "z"]),
+    (besselhyp.identity_residual, ["which", "z", "p"]),
+    (first_mismatch_order, ["n", "p"]),
+]
+
+
+@pytest.mark.parametrize("fn,params", SIGNATURES, ids=[fn.__name__ for fn, _ in SIGNATURES])
+def test_no_settings_beyond_the_inputs(fn, params):
+    # The approximant is fixed by (kind, n, p, z) and the oracle by its
+    # order and argument: no tolerance, term limit, eps or search limit.
+    assert list(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("command", [["eval", "-n", "0", "-p", "2", "-z", "1"],
+                                     ["table"], ["bench", "-n", "0", "-p", "2"]],
+                         ids=lambda argv: argv[0])
+def test_no_eps_flag(capsys, command):
+    assert cli.main([*command, "--eps", "1"]) == cli.EXIT_USAGE
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_no_module_reads_the_environment():
+    package = Path(besselhyp.__file__).parent
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        assert "os.environ" not in text and "getenv" not in text, path.name

@@ -11,7 +11,6 @@ from besselhyp import (
     ApproxRequest,
     Binary64OverflowError,
     DomainError,
-    default_small_z_threshold,
     evaluate,
     ref_I,
     ref_J,
@@ -52,8 +51,6 @@ class TestRequestValidation:
             ApproxRequest("I", 0, 0, 1.0)
         with pytest.raises(ValueError):
             ApproxRequest("I", 0, 1, math.inf)
-        with pytest.raises(ValueError):
-            ApproxRequest("I", 0, 1, 1.0, eps=0.0)
 
     @pytest.mark.parametrize("n,p", [(1.5, 2), (True, 2), (2.0, 2), ("2", 2),
                                      (0, 2.0), (0, True), (0, None)])
@@ -69,9 +66,17 @@ class TestRequestValidation:
             ApproxRequest("I", 2, 2, 1.5))
 
     def test_default_threshold(self):
+        # eps is 0.25 (n + 1), read from the order, never passed.
         assert ApproxRequest("I", 0, 2, 1.0).eps == 0.25
-        assert ApproxRequest("I", 3, 2, 1.0).eps == 1.0
-        assert default_small_z_threshold(3) == 1.0
+        assert ApproxRequest("J", 3, 2, 1.0).eps == 1.0
+        with pytest.raises(TypeError):
+            ApproxRequest("I", 0, 2, 1.0, eps=0.5)
+        # Below it every route tries the series first.
+        for p in range(1, 9):
+            for n in range(4 * p):
+                for kind in "IJ":
+                    eps = ApproxRequest(kind, n, p, 1.0).eps
+                    assert _route(n, p, kind == "J").series_below >= eps, (kind, n, p)
 
     def test_frozen(self):
         req = ApproxRequest("I", 2, 2, 1.5)
@@ -89,14 +94,14 @@ class TestRequestValidation:
         assert dataclasses.replace(req, z=2).z == 2.0
 
     def test_keywords_equality_and_hash(self):
-        req = ApproxRequest(kind="I", n=3, p=2, z=1, eps=0.5)
-        assert (req.kind, req.n, req.p, req.z, req.eps) == ("I", 3, 2, 1.0, 0.5)
+        req = ApproxRequest(kind="I", n=3, p=2, z=1)
+        assert (req.kind, req.n, req.p, req.z) == ("I", 3, 2, 1.0)
         assert type(req.z) is float
-        same = ApproxRequest("I", 3, 2, 1.0, 0.5)
+        same = ApproxRequest("I", 3, 2, 1.0)
         assert req == same and hash(req) == hash(same)
-        assert len({req, same, ApproxRequest("I", 3, 2, 1.0)}) == 2
-        assert repr(req) == "ApproxRequest(kind='I', n=3, p=2, z=1.0, eps=0.5)"
-        assert [f.name for f in dataclasses.fields(req)] == ["kind", "n", "p", "z", "eps"]
+        assert len({req, same, ApproxRequest("I", 3, 2, 2.0)}) == 2
+        assert repr(req) == "ApproxRequest(kind='I', n=3, p=2, z=1.0)"
+        assert [f.name for f in dataclasses.fields(req)] == ["kind", "n", "p", "z"]
 
 
 class TestApproxI:
@@ -121,16 +126,17 @@ class TestApproxI:
             assert evaluate(ApproxRequest("I", 0, 1, z)) == (1.0 + math.cosh(z)) / 2.0
 
     @pytest.mark.parametrize("kind", ["I", "J"])
-    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (5, 2), (7, 2), (11, 3)])
+    @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (2, 2), (2, 3), (5, 2), (7, 2),
+                                     (11, 3)])
     def test_below_eps_is_the_approximant(self, kind, n, p):
         # Below eps the series is forced, and it is the approximant itself:
-        # not the truncated I_n/J_n series, and not 0.0 for n >= 2p.
-        for z in (1e-3, 0.01, 0.1, 0.2):
+        # not the truncated I_n/J_n series, not 0.0 for n >= 2p, and not a
+        # path that cancels at the smallest arguments.
+        for z in (1e-200, 1e-8, 1e-3, 0.01, 0.1, 0.2):
             req = ApproxRequest(kind, n, p, z)
             assert abs(z) < req.eps
-            value = evaluate(req)
-            assert value != 0.0
-            assert _near_approximant(value, kind, n, p, z), (z, value)
+            want, _ = spherical_approximant(kind, n, p, z)
+            assert evaluate(req) == pytest.approx(float(want), rel=1e-13, abs=0), z
 
     @pytest.mark.parametrize("n,p", [(0, 1), (0, 2), (1, 2), (2, 3), (3, 2), (3, 4),
                                      (9, 4), (15, 4), (24, 8), (31, 8)])
@@ -150,7 +156,7 @@ class TestApproxI:
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("z", [710.0, 711.0, 720.0, -720.0])
+    @pytest.mark.parametrize("z", [711.0, 720.0, -720.0])
     def test_hyperbolic_overflow_is_typed(self, z):
         with pytest.raises(Binary64OverflowError, match="overflow"):
             evaluate(ApproxRequest("I", 3, 2, z))
@@ -161,9 +167,12 @@ class TestOverflow:
                 evaluate(ApproxRequest("I", 0, 2, 720.0))
 
     def test_values_below_the_edge_are_returned(self):
-        # Just below the edge the value is still returned, and finite.
+        # Below the edge of cosh (about 710.48) the value is returned, and
+        # finite, also where the plan's leading term a(n, 1) cosh z is not.
         assert math.isfinite(evaluate(ApproxRequest("I", 0, 2, 710.0)))
         assert math.isfinite(evaluate(ApproxRequest("I", 3, 2, 709.0)))
+        assert math.isfinite(evaluate(ApproxRequest("I", 3, 2, 710.0)))
+        assert math.isfinite(evaluate(ApproxRequest("I", 31, 8, 710.4)))
 
     @pytest.mark.parametrize("z", [710.0, 711.0, 720.0])
     def test_circular_kind_has_no_edge(self, z):

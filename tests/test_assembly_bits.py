@@ -6,8 +6,11 @@ fixture, the way ``closed_form_p2`` keeps the printed two-node forms: one
 sinh/cosh (sin/cos) values and node powers.  The cached plans behind
 ``_assemble`` take each transcendental once per argument but must add and
 multiply in the same order, so wherever the fixture is finite the two agree
-to the last bit, and wherever it overflows (``nan``, ``inf`` or a raised
-OverflowError) the assembly raises Binary64OverflowError.
+to the last bit.  Where only the fixture's Horner sum overflows, the
+fixture over kernels scaled by an exact 2**-m, scaled back by 2**m, is what
+the assembly must return bit for bit; where a kernel itself overflows
+(``inf`` or a raised OverflowError), the assembly raises
+Binary64OverflowError.
 """
 
 import math
@@ -25,56 +28,71 @@ ZS = (-720.0, -40.0, -12.5, -3.7, -1.0, -0.31, -1e-3, 1e-3, 0.05, 0.31, 1.0, 2.5
       711.0, 720.0)
 
 
-def kernel_horner(coeffs, nodes, z, *, trig):
-    # coeffs[i] is a(n, q) for q = i + 1: odd q sinh-like, even q cosh-like.
+def kernel_horner(coeffs, nodes, z, *, trig, m=0):
+    # coeffs[i] is a(n, q) for q = i + 1: odd q sinh-like, even q cosh-like;
+    # each kernel is scaled by 2**-m.
     sinh_like = kernel_sin if trig else kernel_sinh
     cosh_like = kernel_cos if trig else kernel_cosh
     acc = 0.0
     for q, coeff in enumerate(coeffs, 1):
         if q % 2:
-            value = sinh_like(q, nodes, z)
+            value = math.ldexp(sinh_like(q, nodes, z), -m)
         else:
-            value = cosh_like(q, nodes, z)
+            value = math.ldexp(cosh_like(q, nodes, z), -m)
         if trig:
             coeff *= _j_term_sign(q)
         acc = coeff * value if q == 1 else acc / z + coeff * value
     return acc
 
 
-def kernel_assemble(n, p, z, *, trig):
+def kernel_assemble(n, p, z, *, trig, m=0):
+    # The assembly over kernels scaled by 2**-m, scaled back by 2**m.
     nodes = make_nodes(p)
     if n == 0:
         cosh_like = kernel_cos if trig else kernel_cosh
-        return (1.0 + cosh_like(0, nodes, z)) / (2 * p)
-    acc = kernel_horner(derive_expansion(n), nodes, z, trig=trig)
+        kernel = math.ldexp(cosh_like(0, nodes, z), -m)
+        return math.ldexp((math.ldexp(1.0, -m) + kernel) / (2 * p), m)
+    acc = kernel_horner(derive_expansion(n), nodes, z, trig=trig, m=m)
     if trig and n % 2:
         acc = -acc
-    return acc / (2 * p)
+    return math.ldexp(acc / (2 * p), m)
 
 
-def _fixture(n, p, z, trig):
+def _fixture(n, p, z, trig, m=0):
     # The fixture's value, with an overflow it raised read as inf.
     try:
-        return kernel_assemble(n, p, z, trig=trig)
+        return kernel_assemble(n, p, z, trig=trig, m=m)
     except OverflowError:
         return math.inf
+
+
+def _scale_exponent(n, p):
+    # An m that keeps every scaled term, and their sum, in range: each term
+    # is at most |a(n, q)| (2p - 1) times the largest transcendental.
+    coeffs = derive_expansion(n) if n else (1,)
+    return (2 * p * sum(abs(coeff) for coeff in coeffs)).bit_length()
 
 
 @pytest.mark.parametrize("p", [*range(1, 9), 12, 16])
 @pytest.mark.parametrize("trig", [False, True], ids=["I", "J"])
 def test_plan_matches_kernel_loop(p, trig):
-    overflowed = 0
+    rescaled = overflowed = 0
     for n in range(4 * p):
         for z in ZS:
             want = _fixture(n, p, z, trig)
+            if not math.isfinite(want):
+                want = _fixture(n, p, z, trig, m=_scale_exponent(n, p))
+                rescaled += math.isfinite(want)
             if math.isfinite(want):
                 assert _assemble(n, p, z, trig=trig).hex() == want.hex(), (n, p, z)
             else:
                 overflowed += 1
+                assert abs(z) > 710.4, (n, p, z)  # beyond the edge of cosh
                 with pytest.raises(Binary64OverflowError):
                     _assemble(n, p, z, trig=trig)
     if not trig:
         assert overflowed  # the grid reaches the binary64 edge
+        assert rescaled  # and values whose Horner sum alone overflows
 
 
 def test_zero_argument_still_divides_by_zero():

@@ -1,7 +1,6 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
-import re
 
 import pytest
 
@@ -70,8 +69,11 @@ class TestEval:
     def test_oracle_range_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "-n", "0", "-p", "2", "-z", "100")
         assert code == EXIT_USAGE
+        # Below the edge of cosh the approximant fits; the oracle's does not.
+        code, _, err = run(capsys, "eval", "-n", "3", "-p", "2", "-z", "710")
+        assert code == EXIT_USAGE and "|z| <= 30" in err
 
-    @pytest.mark.parametrize("z", ["710", "711", "720"])
+    @pytest.mark.parametrize("z", ["711", "720"])
     def test_overflow_is_domain_error(self, capsys, z):
         code, out, err = run(capsys, "eval", "-n", "3", "-p", "2", "-z", z)
         assert code == EXIT_DOMAIN
@@ -167,26 +169,35 @@ class TestScaling:
         assert code == EXIT_USAGE
 
     def test_too_few_digits_is_usage_error(self, capsys):
-        # At 5 digits the measured error is exactly zero.
-        code, out, err = run(capsys, "scaling", "-n", "0", "-p", "1", "--dps", "5")
+        # The (0, 8) error, below 1e-70, is exactly zero at every doubling
+        # of 2 digits up to 32.
+        code, out, err = run(capsys, "scaling", "-n", "0", "-p", "8", "--dps", "2")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--dps" in err and "Traceback" not in err
+        assert "--dps 32" in err and "Traceback" not in err
 
     def test_error_under_the_rounding_floor_is_usage_error(self, capsys):
-        # At the default 50 digits the (15, 4) assembly's cancellation leaves
-        # rounding noise, not the error; the message names the digits the fit
-        # needs, and they are enough.
-        code, out, err = run(capsys, "scaling", "-n", "15", "-p", "4")
+        # The (15, 4) assembly cancels about 60 digits; at 1 digit, doubled
+        # up to 16, what is left is rounding noise, not the error.
+        code, out, err = run(capsys, "scaling", "-n", "15", "-p", "4", "--dps", "1")
         assert code == EXIT_USAGE
         assert out == "" and "Traceback" not in err
-        match = re.search(r"--dps (\d+)", err)
-        assert match, err
-        code, out, _ = run(capsys, "scaling", "-n", "15", "-p", "4", "--dps", match[1])
-        assert code == EXIT_OK
-        header, row = out.strip().splitlines()
-        fields = dict(zip(header.split(","), row.split(",")))
-        assert float(fields["slope"]) == pytest.approx(15.0, abs=0.2)
+        assert "rounding floor" in err and "--dps 16" in err
+
+    @pytest.mark.parametrize("n,p,dps,resolved", [(15, 4, "50", "66"), (0, 1, "5", "40")])
+    def test_digits_below_the_floor_are_raised(self, capsys, n, p, dps, resolved):
+        # --dps is a floor: a sample whose error is rounding noise at dps
+        # digits is measured again at the first doubling that resolves it,
+        # and the fit equals the one at digits that resolve every sample.
+        def slope(digits):
+            code, out, _ = run(capsys, "scaling", "-n", str(n), "-p", str(p),
+                               "--dps", digits)
+            assert code == EXIT_OK
+            header, row = out.strip().splitlines()
+            return dict(zip(header.split(","), row.split(",")))["slope"]
+
+        assert slope(dps) == slope(resolved)
+        assert float(slope(dps)) == pytest.approx(max(4 * p - n, n), abs=0.2)
 
     @pytest.mark.parametrize("dps", ["0", "-3"])
     def test_nonpositive_dps_is_usage_error(self, capsys, dps):

@@ -9,14 +9,19 @@ half-integer Bessel functions, so it shares nothing with the package.
 """
 
 import math
-import sys
 
 import mpmath as mp
 import pytest
 
 from besselhyp import ApproxRequest, Binary64OverflowError, evaluate
 from besselhyp.analysis import approximant_series_coeff
-from besselhyp.approximation import _node_sum, _spherical_j, _trapezoid_weights
+from besselhyp.approximation import (
+    _node_sum,
+    _series,
+    _spherical_j,
+    _sum_series,
+    _trapezoid_weights,
+)
 from besselhyp.coefficients import double_factorial
 from fixtures import spherical_approximant
 
@@ -25,8 +30,8 @@ TOL = 1e-12
 # Irregular arguments over [0, 30], so no grid point sits on a crossover.
 ZS = (0.0, 1e-3, 0.05, 0.31, 0.77, 1.3, 2.2, 3.1, 4.4, 5.9, 7.3, 8.8, 10.5, 12.6,
       14.9, 17.2, 19.8, 22.5, 25.1, 27.7, 30.0)
-# Near the binary64 edge of cosh, where I takes the plan.
-ZS_EDGE = (650.0, 700.0, 709.0)
+# Near the binary64 edge of cosh (about 710.48), where I takes the plan.
+ZS_EDGE = (650.0, 700.0, 709.0, 710.4)
 
 
 def _misses(kind, p, zs):
@@ -36,10 +41,9 @@ def _misses(kind, p, zs):
             try:
                 got = evaluate(ApproxRequest(kind, n, p, z))
             except Binary64OverflowError:
-                # Allowed only where the plan's leading term, about
-                # (2n-3)!! cosh z, comes within a factor 4 of the range.
-                if n < 2 or double_factorial(2 * n - 3) * math.cosh(z) < sys.float_info.max / 4:
-                    misses.append((n, z, "overflow"))
+                # Only cosh z itself overflowing may raise, and no grid
+                # point reaches its edge.
+                misses.append((n, z, "overflow"))
                 continue
             want, scale = spherical_approximant(kind, n, p, z)
             err = abs(got - want)
@@ -89,31 +93,28 @@ def test_node_sum_is_the_approximant(n, p, z):
 
 @pytest.mark.parametrize("n,p", [(3, 2), (9, 4), (20, 8)])
 def test_eps_forces_the_series_but_not_a_wrong_value(n, p):
-    # A large eps forces the series for both kinds; where the alternating
-    # series would cancel, J still gives way to the plan or the node sum.
+    # The series evaluate takes below eps, summed far past it: where it
+    # returns a value, that is the approximant; where the alternating
+    # series would cancel, it returns None, and J gives way to the plan or
+    # the node sum.
+    lead, ratios = _series(n, p)
     for kind in "IJ":
         for z in (0.5, 9.0, 24.0):
-            got = evaluate(ApproxRequest(kind, n, p, z, eps=100.0))
+            got = _sum_series(lead, ratios, n, z, kind == "J")
+            if got is None:
+                continue
             want, scale = spherical_approximant(kind, n, p, z)
             assert abs(got - want) <= TOL * max(abs(want), scale), (kind, z)
+        assert _sum_series(lead, ratios, n, 24.0, True) is None
 
 
 def test_forced_series_far_out_gives_way():
-    # An eps far beyond the stored series terms cannot force a sum that
-    # does not converge; the plan takes the point, and overflows as typed.
+    # A sum that does not converge in its stored terms returns None rather
+    # than a value; the plan takes the point, and overflows as typed.
+    assert _sum_series(*_series(31, 8), 31, 1e20, False) is None
     with pytest.raises(Binary64OverflowError):
-        evaluate(ApproxRequest("I", 31, 8, 1e20, eps=1e300))
+        evaluate(ApproxRequest("I", 31, 8, 1e20))
     for n in (0, 1, 31):
-        value = evaluate(ApproxRequest("J", n, 8, 1e20, eps=1e300))
+        assert _sum_series(*_series(n, 8), n, 1e20, True) is None
+        value = evaluate(ApproxRequest("J", n, 8, 1e20))
         assert math.isfinite(value) and abs(value) <= 1.0
-
-
-@pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (2, 2), (7, 2)])
-def test_tiny_eps_keeps_small_arguments_on_the_series(n, p):
-    # eps only forces the series; a tiny one must not send small arguments
-    # to a path that cancels there.
-    for kind in "IJ":
-        for z in (1e-200, 1e-8, 0.1):
-            got = evaluate(ApproxRequest(kind, n, p, z, eps=1e-300))
-            want, _ = spherical_approximant(kind, n, p, z)
-            assert got == pytest.approx(float(want), rel=TOL, abs=0), (kind, z)

@@ -1,11 +1,11 @@
-"""Oracle tests: series values, stopping policy, identities, self-consistency."""
+"""Oracle tests: series values, stopping rule, identities, self-consistency."""
 
 import math
 
 import pytest
 
-from besselhyp import SeriesPolicy, identity_residual, ref_I, ref_J, tail_I0
-from besselhyp.reference import IDENTITY_TAGS, ORACLE_TOL_ENV, _default_policy
+from besselhyp import identity_residual, ref_I, ref_J, tail_I0
+from besselhyp.reference import _MAX_TERMS, _TOL, IDENTITY_TAGS
 from fixtures import ref_I_accumulator, ref_J_accumulator
 
 # Frozen by brute-force partial sums at tolerance 1e-15; stable by construction.
@@ -75,64 +75,20 @@ class TestCompensatedLoop:
 
     ZS = (-30.0, -17.3, -2.5, -0.0, 0.0, 1e-300, 1e-3, 0.37, 1.0, 4.0, 9.99, 15.0,
           22.2, 29.5, 30.0)
-    POLICIES = (None, SeriesPolicy(tol=1e-6), SeriesPolicy(max_terms=3))
 
     @pytest.mark.parametrize("fn,fixture", [(ref_I, ref_I_accumulator),
                                             (ref_J, ref_J_accumulator)])
     def test_bit_for_bit(self, fn, fixture):
         for n in list(range(0, 33)) + [40, 51, 64]:
             for z in self.ZS:
-                for policy in self.POLICIES:
-                    assert fn(n, z, policy).hex() == fixture(n, z, policy).hex(), (n, z)
-
-    @pytest.mark.parametrize("fn,fixture", [(ref_I, ref_I_accumulator),
-                                            (ref_J, ref_J_accumulator)])
-    def test_tolerance_is_read_per_call(self, monkeypatch, fn, fixture):
-        tight = fn(7, 12.5)
-        monkeypatch.setenv(ORACLE_TOL_ENV, "1e-4")
-        loose = fn(7, 12.5)
-        assert loose != tight
-        assert loose.hex() == fixture(7, 12.5).hex()
-        monkeypatch.delenv(ORACLE_TOL_ENV)
-        assert fn(7, 12.5) == tight
+                assert fn(n, z).hex() == fixture(n, z).hex(), (n, z)
 
 
 class TestSeriesPolicy:
     def test_defaults(self):
-        policy = SeriesPolicy()
-        assert policy.tol == 1e-15
-        assert policy.max_terms == 200
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_TOL_ENV, "1e-10")
-        assert SeriesPolicy().tol == 1e-10
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_TOL_ENV, "-3")
-        with pytest.raises(ValueError):
-            SeriesPolicy()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=0)
-
-    def test_default_is_built_once_per_setting(self, monkeypatch):
-        monkeypatch.delenv(ORACLE_TOL_ENV, raising=False)
-        default = _default_policy()
-        assert default is _default_policy() and default == SeriesPolicy()
-        monkeypatch.setenv(ORACLE_TOL_ENV, "1e-9")
-        assert _default_policy() == SeriesPolicy(tol=1e-9)
-        monkeypatch.setenv(ORACLE_TOL_ENV, "-3")
-        with pytest.raises(ValueError):
-            ref_I(0, 1.0)
-
-    def test_loose_policy_loosens_result(self):
-        sloppy = ref_I(0, 4.0, SeriesPolicy(tol=1e-3))
-        tight = ref_I(0, 4.0)
-        assert sloppy != tight
-        assert sloppy == pytest.approx(tight, rel=1e-2)
+        # The stopping rule is fixed: tolerance 1e-15 of the partial sum,
+        # at most 200 terms.
+        assert (_TOL, _MAX_TERMS) == (1e-15, 200)
 
 
 class TestTail:

@@ -9,12 +9,17 @@ ways:
 
 * exact Maclaurin coefficients of the approximant from the exact node
   power sums (a binomial sum, for every p), and
-* arbitrary-precision evaluation of both the assembly (in mpmath) and the
-  reference series (in fixed-point integers), for error measurements and
-  log-log slope fits.
+* arbitrary-precision evaluation of both the assembly and the reference
+  series, each in fixed-point integers (_approx_fixed, _ref_fixed), for
+  error measurements and log-log slope fits.  The assembly takes one paired
+  mpmath transcendental (cosh and sinh, or cos and sin) per argument z,
+  c_k z, so p per sample; everything else is integer arithmetic.  An error
+  sample is one integer difference of the two at a common scale, and its
+  logarithm is read from the integer's bits.
 
-Neither path touches any library Bessel implementation; the reference
-stays the same ascending series, just in wider arithmetic.
+Neither path touches any library Bessel implementation, or the binary64
+plan; the reference stays the same ascending series, just in wider
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 import mpmath as mp
-import numpy as np
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, ln2_fixed, mpf_cos_sin,
+                          mpf_cosh_sinh, mpf_div, round_nearest, to_fixed)
 
 from .approximation import _j_term_sign
 from .coefficients import derive_expansion
@@ -102,10 +109,22 @@ def first_mismatch_order(n: int, p: int) -> int:
     raise RuntimeError(f"no mismatch found up to order {limit} for (n={n}, p={p})")
 
 
-#: Extra fraction bits of the fixed-point reference sum over the working
-#: precision; they absorb the truncation of up to ``_REF_MAX_TERMS`` terms.
-_REF_GUARD_BITS = 40
+#: Extra fraction bits of the fixed-point twins over the working precision;
+#: they absorb the roundings of the kernel sums and Horner steps, and the
+#: truncation of up to ``_REF_MAX_TERMS`` series terms.
+_GUARD_BITS = 40
 _REF_MAX_TERMS = 1000
+_LN2 = math.log(2)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("I", "J"):
+        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+
+
+def _check_order(n: int, p: int) -> None:
+    if n >= 4 * p:
+        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
 
 
 def _check_dps(dps: int) -> None:
@@ -120,108 +139,221 @@ def _finite_mpf(z) -> mp.mpf:
     return zz
 
 
+def _shift(x: int, bits: int) -> int:
+    # x * 2**bits, floored.
+    return x << bits if bits >= 0 else x >> -bits
+
+
+def _man_exp(z) -> tuple[int, int]:
+    # z = man * 2**exp exactly, for a float or an mpf.
+    if type(z) is float:
+        num, den = z.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = z._mpf_
+    return -man if sign else man, exp
+
+
+def _e_bits(man: int, exp: int) -> int:
+    # floor(|z| / ln 2) to within one, from 1/ln 2 to 64 bits past the units
+    # of |z| = |man| 2**exp: e**|z| < 2**(_e_bits + 2).
+    w = max(0, exp + man.bit_length()) + 64
+    return _shift(abs(man) * ((1 << 2 * w) // ln2_fixed(w)), exp - w)
+
+
+def _scale(dps: int, n: int, p: int, man: int, exp: int) -> int:
+    """Fraction bits F at which the twins carry values for dps digits: the
+    working precision, _GUARD_BITS, the bits of n p for the roundings
+    summed, and log2(1/|z|) where |z| < 1."""
+    small = max(0, -(exp + man.bit_length()))  # |z| < 2**-small
+    return dps_to_prec(dps) + _GUARD_BITS + (n * p).bit_length() + small
+
+
+def _mpf(man: int, exp: int) -> tuple:
+    # The raw mpf man 2**exp, normalised as from_man_exp would: odd mantissa.
+    if not man:
+        return fzero
+    zeros = (man & -man).bit_length() - 1
+    odd = abs(man) >> zeros
+    return (int(man < 0), odd, exp + zeros, odd.bit_length())
+
+
 @lru_cache(maxsize=128)
-def _hp_nodes(p: int, prec: int) -> tuple[tuple[mp.mpf, ...], tuple[tuple[mp.mpf, ...], ...]]:
-    # Interior nodes c_k = cos(k pi / 2p), k = 1..p-1, at ``prec`` bits, and
-    # the kernel weights rows[q] = (2 c_k**q)_k for q = 0..4p-1, each row
-    # the previous one times the nodes.
-    with mp.workprec(prec):
-        nodes = tuple(mp.cos(mp.pi * k / (2 * p)) for k in range(1, p))
-        rows = [tuple(mp.mpf(2) for _ in nodes)]
-        for _ in range(1, 4 * p):
-            rows.append(tuple(w * c for w, c in zip(rows[-1], nodes)))
-    return nodes, tuple(rows)
+def _fixed_nodes(p: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    # Interior nodes c_k = cos(k pi / 2p), k = 1..p-1, and the kernel weights
+    # rows[q] = (2 c_k**q)_k for q = 0..4p-1, as integers at scale 2**bits,
+    # each built 32 bits finer and rounded once.
+    fine = bits + 32
+    with mp.workprec(fine + 16):
+        nodes = [to_fixed(mp.cos(mp.pi * k / (2 * p))._mpf_, fine) for k in range(1, p)]
+    row = [2 << fine] * len(nodes)
+    rows = []
+    for _ in range(4 * p):
+        rows.append(tuple((w + (1 << 31)) >> 32 for w in row))
+        row = [w * c >> fine for w, c in zip(row, nodes)]
+    return tuple((c + (1 << 31)) >> 32 for c in nodes), tuple(rows)
 
 
-def _hp_kernel(values: list[mp.mpf], weights: tuple[mp.mpf, ...]) -> mp.mpf:
-    # kernel_q = f(z) + sum_k 2 c_k**q f(c_k z), from f taken once per argument.
-    total = values[0]
-    for w, f in zip(weights, values[1:]):
-        total += w * f
-    return total
+@lru_cache(maxsize=None)
+def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
+    # a(n, q) for q = 1..n, with the J sign of each term and the J factor
+    # (-1)**n on every one.
+    if not trig:
+        return derive_expansion(n)
+    return tuple((-1) ** n * _j_term_sign(q) * coeff
+                 for q, coeff in enumerate(derive_expansion(n), 1))
+
+
+def _approx_fixed(kind: str, n: int, p: int, z, F: int) -> int:
+    """2p A_n(z) 2**F as an integer, from the kernel assembly in fixed point.
+
+    z = man 2**exp is taken exactly.  Each argument z, c_k z takes one paired
+    transcendental, cosh and sinh (cos and sin), to 2**-F absolute; the
+    nodes and weights carry at least the bits of e**|z| |z| more, so that
+    their rounding stays below that too.  The kernels are integer dot
+    products, and the Horner step acc/z is a floor division by man shifted
+    by exp.  F may be negative: the value is then carried to 2**-F, a
+    multiple of one.
+    """
+    man, exp = _man_exp(z)
+    trig = kind == "J"
+    if n and not man:
+        return 0
+    e_bits = 0 if trig else _e_bits(man, exp)
+    # Node scale: F and the bits of e**|z| |z|, rounded up to a multiple of
+    # 64 so that the nodes cache per (p, bits) across nearby F and z.
+    bits = -(-(F + e_bits + max(0, exp + man.bit_length())) // 64) * 64
+    nodes, rows = _fixed_nodes(p, bits)
+    paired = mpf_cos_sin if trig else mpf_cosh_sinh
+    wp = F + e_bits + 8
+    even, odd = [], []
+    for arg in [_mpf(man, exp)] + [_mpf(man * c, exp - bits) for c in nodes]:
+        f_even, f_odd = paired(arg, wp)
+        even.append(to_fixed(f_even, F))
+        odd.append(to_fixed(f_odd, F))
+    if n == 0:
+        return _shift(1, F) + even[0] + (sum(map(mul, rows[0], even[1:])) >> bits)
+    # acc / z = (acc << lift) // den
+    lift, den = (-exp, man) if exp < 0 else (0, man << exp)
+    odd_rest, even_rest = odd[1:], even[1:]
+    acc = None
+    for q, coeff in enumerate(_signed_expansion(n, trig), 1):
+        if q % 2:
+            kernel = odd[0] + (sum(map(mul, rows[q], odd_rest)) >> bits)
+        else:
+            kernel = even[0] + (sum(map(mul, rows[q], even_rest)) >> bits)
+        acc = coeff * kernel if acc is None else (acc << lift) // den + coeff * kernel
+    return acc
+
+
+def _ref_fixed(kind: str, n: int, z, F: int) -> int:
+    """2**F I_n(z) (or J_n) as an integer, from the ascending series.
+
+    (z/2)**n / n! * sum_k (+-(z/2)**2)**k / (k! (n+1)_k): the sum runs over
+    integers scaled by 2**bits, with bits = F plus the bits by which the
+    leading factor may exceed one; each step multiplies by (z/2)**2 exactly,
+    as the squared mantissa of z = man 2**exp and a shift, and the factor
+    man**n 2**(n (exp - 1)) / n! is applied in integers too.  The sum stops
+    once a term is below one unit of the last place of max(|sum|, 1); a
+    series that has not got there after ``_REF_MAX_TERMS`` terms raises
+    ``ValueError``.
+    """
+    man, exp = _man_exp(z)
+    # (z/2)**n / n! < 2**lead
+    lead = n * (exp - 1 + man.bit_length()) - factorial(n).bit_length() + 1
+    bits = F + max(0, lead)
+    one = 1 << bits
+    sq, drop = man * man, 2 - 2 * exp  # (z/2)**2 = sq 2**-drop
+    if drop < 0:
+        sq, drop = sq << -drop, 0
+    term = total = one
+    # Terms grow while (z/2)**2 > k (n + k); if they still grow at the cap,
+    # the series cannot converge before it.
+    if sq >> drop < _REF_MAX_TERMS * (n + _REF_MAX_TERMS):
+        alternating = kind == "J"
+        for k in range(1, _REF_MAX_TERMS):
+            term = (term * sq >> drop) // (k * (n + k))
+            total += -term if alternating and k % 2 else term
+            if term <= (abs(total) >> bits or 1):
+                down = bits - F - n * (exp - 1)
+                if down >= 0:
+                    return total * man**n // (factorial(n) << down)
+                return (total * man**n << -down) // factorial(n)
+    raise ValueError(f"the {kind}_{n} series at z={z} does not converge "
+                     f"within {_REF_MAX_TERMS} terms")
+
+
+def _error_fixed(kind: str, n: int, p: int, z, dps: int) -> tuple[int, int]:
+    # (2p (A_n(z) - I_n(z)) 2**F, F) at the scale for dps digits.
+    F = _scale(dps, n, p, *_man_exp(z))
+    return _approx_fixed(kind, n, p, z, F) - 2 * p * _ref_fixed(kind, n, z, F), F
+
+
+def _to_mpf(value: int, F: int, divisor: int, dps: int) -> mp.mpf:
+    # value 2**-F / divisor, rounded once to dps digits.
+    return mp.make_mpf(mpf_div(from_man_exp(value, -F), from_int(divisor),
+                               dps_to_prec(dps), round_nearest))
 
 
 def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     """Arbitrary-precision approximant: always the kernel assembly.
 
     The assembly is evaluated directly at any z != 0, with exact integer
-    coefficients and mpmath nodes, and it loses digits to the same small-z
-    cancellation as the binary64 plan: at (I, 31, 8, 0.3) and ``dps=120``
-    it is off by 5.6e-7 relative to a ``dps=300`` evaluation.  Callers
-    must size ``dps`` for that loss on top of the digits they need.
-    sinh and cosh (sin and cos) are each taken once per argument z, c_k z,
-    so a call costs at most 2p transcendentals; the kernels are summed from
-    them and assembled by the same Horner recurrence as the per-term form.
+    coefficients, in fixed point (_approx_fixed), and it loses digits to the
+    same small-z cancellation as the binary64 plan: its error is bounded by
+    10**-dps times the largest assembly term (see _largest_term_digits), not
+    by 10**-dps times the result.  At (I, 31, 8, 0.3) and ``dps=120`` it is
+    off by 1.8e-21 relative to a ``dps=300`` evaluation.  Callers must size
+    ``dps`` for that loss on top of the digits they need.
+    A call costs p paired transcendentals, one per argument z, c_k z.  For I
+    the values are carried relative to e**|z|, which every term may carry,
+    so that large |z| costs no more bits than small.
     """
-    if kind not in ("I", "J"):
-        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-    if n >= 4 * p:
-        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
+    _check_kind(kind)
+    _check_order(n, p)
     _check_dps(dps)
     with mp.workdps(dps):
         zz = _finite_mpf(z)
-        nodes, rows = _hp_nodes(p, mp.mp.prec)
-        trig = kind == "J"
-        args = [zz] + [c * zz for c in nodes]
-        cosh_like = mp.cos if trig else mp.cosh
-        if n == 0:
-            return (1 + _hp_kernel([cosh_like(a) for a in args], rows[0])) / (2 * p)
-        if zz == 0:
-            return mp.mpf(0)
-        sinh_like = mp.sin if trig else mp.sinh
-        odd = [sinh_like(a) for a in args]
-        even = [cosh_like(a) for a in args] if n >= 2 else odd
-        acc = mp.mpf(0)
-        for q, coeff in enumerate(derive_expansion(n), 1):
-            value = _hp_kernel(odd if q % 2 else even, rows[q])
-            if trig:
-                coeff *= _j_term_sign(q)
-            acc = coeff * value if q == 1 else acc / zz + coeff * value
-        if trig and n % 2:
-            acc = -acc
-        return acc / (2 * p)
+    man, exp = _man_exp(zz)
+    F = _scale(dps, n, p, man, exp) - (0 if kind == "J" else _e_bits(man, exp))
+    return _to_mpf(_approx_fixed(kind, n, p, zz, F), F, 2 * p, dps)
 
 
 def hp_ref(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
-    """Ascending series for I_n or J_n, summed in fixed point.
+    """Ascending series for I_n or J_n, summed in fixed point (_ref_fixed).
 
-    (z/2)**n / n! * sum_k (+-(z/2)**2)**k / (k! (n+1)_k): the sum runs over
-    Python integers scaled by 2**(prec + guard), with (z/2)**2 taken exactly
-    from the bits of z, so only the common factor is rounded in mpf.  The
-    sum stops once a term is below one unit of the last fixed-point place
-    of max(|sum|, 1); a series that has not got there after
-    ``_REF_MAX_TERMS`` terms raises ``ValueError``.
+    The scale is taken below the leading factor (z/2)**n / n! by the working
+    precision and _GUARD_BITS, so the result is as accurate relative to
+    that factor as the sum is relative to max(|sum|, 1).  A series that has
+    not converged after ``_REF_MAX_TERMS`` terms raises ``ValueError``.
     """
-    if kind not in ("I", "J"):
-        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+    _check_kind(kind)
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     _check_dps(dps)
     with mp.workdps(dps):
         zz = _finite_mpf(z)
-        bits = mp.mp.prec + _REF_GUARD_BITS
-        one = 1 << bits
-        man, exp = zz.man_exp  # z = man * 2**exp exactly
-        shift = 2 * exp - 2 + bits
-        # x = (z/2)**2 at scale 2**bits
-        x = man * man << shift if shift >= 0 else (man * man) >> -shift
-        term = total = one
-        # Terms grow while (z/2)**2 > k (n + k); if they still grow at the
-        # cap, the series cannot converge before it.
-        if x >> bits < _REF_MAX_TERMS * (n + _REF_MAX_TERMS):
-            for k in range(1, _REF_MAX_TERMS):
-                term = (term * x >> bits) // (k * (n + k))
-                total += -term if kind == "J" and k % 2 else term
-                if term <= max(abs(total), one) >> bits:
-                    return (zz / 2) ** n / mp.factorial(n) * mp.ldexp(total, -bits)
-        raise ValueError(f"the {kind}_{n} series at z={z} does not converge "
-                         f"within {_REF_MAX_TERMS} terms")
+    man, exp = _man_exp(zz)
+    # (z/2)**n / n! > 2**least
+    least = n * (exp - 2 + man.bit_length()) - factorial(n).bit_length() if man else 0
+    F = dps_to_prec(dps) + _GUARD_BITS - least
+    return _to_mpf(_ref_fixed(kind, n, zz, F), F, 1, dps)
 
 
 def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
-    """Signed construction error approx - reference, in wide arithmetic."""
+    """Signed construction error approx - reference, in wide arithmetic.
+
+    Both twins are carried at one fixed-point scale and subtracted as
+    integers, so only the difference is rounded to ``dps`` digits.
+    """
+    _check_kind(kind)
+    _check_order(n, p)
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    _check_dps(dps)
     with mp.workdps(dps):
-        return hp_approx(kind, n, p, z, dps=dps) - hp_ref(kind, n, z, dps=dps)
+        zz = _finite_mpf(z)
+    diff, F = _error_fixed(kind, n, p, zz, dps)
+    return _to_mpf(diff, F, 2 * p, dps)
 
 
 #: A sampled error is measured only where it exceeds its rounding floor by
@@ -253,8 +385,12 @@ def _coefficient_digits(n: int) -> tuple[tuple[float, int], ...]:
 
 def _log_error(kind: str, n: int, p: int, z: float, dps: int) -> float:
     # ln|approx - reference| at dps digits; -inf where they agree exactly.
-    with mp.workdps(dps):
-        return float(mp.log(abs(hp_error(kind, n, p, z, dps=dps))))
+    diff, F = _error_fixed(kind, n, p, z, dps)
+    if not diff:
+        return -math.inf
+    # ln of the top 53 bits, and the rest as a power of two
+    drop = max(0, abs(diff).bit_length() - 53)
+    return math.log(abs(diff) >> drop) + (drop - F) * _LN2 - math.log(2 * p)
 
 
 def _is_noise(log_err: float, top: float, dps: int) -> bool:
@@ -295,12 +431,14 @@ def fit_error_slope(
     floor is measured again at doubling digits until it clears it, and
     ``ValueError`` is raised only if it is still noise at 16 times ``dps``.
     """
+    _check_kind(kind)
+    _check_order(n, p)
     if not (0.0 < z_lo < z_hi):
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_dps(dps)
-    zs = [float(z) for z in np.geomspace(z_lo, z_hi, samples)]
+    zs = _geometric_grid(z_lo, z_hi, samples)
     log_errs = []
     for z in zs:
         log_err = _resolved_log_error(kind, n, p, z, dps)
@@ -309,6 +447,20 @@ def fit_error_slope(
                 f"the error at z={z} is within 1e3 of the rounding floor even at "
                 f"{16 * dps} digits; the fit needs more than --dps {16 * dps}")
         log_errs.append(log_err)
-    log_z = [math.log(z) for z in zs]
-    slope, _ = np.polyfit(np.asarray(log_z), np.asarray(log_errs), 1)
-    return float(slope)
+    return _least_squares_slope([math.log(z) for z in zs], log_errs)
+
+
+def _geometric_grid(lo: float, hi: float, samples: int) -> list[float]:
+    # 10**(log10 lo + i step), with both ends exactly lo and hi.
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (samples - 1)
+    return [lo] + [10.0 ** (i * step + log_lo) for i in range(1, samples - 1)] + [hi]
+
+
+def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
+    # Closed-form least-squares slope, with the sums taken about the means.
+    mean_x = math.fsum(xs) / len(xs)
+    mean_y = math.fsum(ys) / len(ys)
+    dxs = [x - mean_x for x in xs]
+    return (math.fsum(dx * (y - mean_y) for dx, y in zip(dxs, ys))
+            / math.fsum(dx * dx for dx in dxs))

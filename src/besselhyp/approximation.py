@@ -66,8 +66,10 @@ class Binary64OverflowError(DomainError, OverflowError):
     """The approximant at this argument does not fit in binary64.
 
     Raised where sinh/cosh themselves overflow, for I above about
-    |z| = 710.48, or where the value itself does.  It is also an
-    OverflowError, which is what the hyperbolic functions themselves raise.
+    |z| = 710.48, or where the value itself does; and for every argument of
+    an order (past about n = 140) whose series or plan coefficients do not
+    fit in binary64.  It is also an OverflowError, which is what the
+    hyperbolic functions themselves raise.
     """
 
 
@@ -388,8 +390,17 @@ class _Route(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _route(n: int, p: int, trig: bool) -> _Route:
-    lead, ratios = _series(n, p)
-    plan = _plan(n, p, trig)
+    try:
+        lead, ratios = _series(n, p)
+        plan = _plan(n, p, trig)
+    except OverflowError as exc:
+        # w(n) / (2n-1)!!, the series' reach to the n-th power or a(n, q)
+        # beyond binary64: past about n = 140.  Checked once per (kind, n, p),
+        # never per point: the series takes only |z| below its reach, so
+        # |z|**n fits wherever reach**n does.
+        raise Binary64OverflowError(
+            f"order n={n} at p={p} needs coefficients beyond binary64 range"
+        ) from exc
     if not trig:
         below = max(_series_reach(n, p), _forced_series_below(n))
         return _Route(below, lead, ratios, plan, (), 0.0, 0.0)

@@ -8,7 +8,10 @@ reaches J by rotating the hyperbolic assembly in complex arithmetic,
 without the plan's sign pattern, and ``hp_approx_per_term``/
 ``hp_ref_mpf_loop`` are the straightforward mpmath twins (one
 transcendental per node per term, and the ascending series summed in mpf)
-that the fast twins in ``besselhyp.analysis`` must agree with.
+that the fixed-point twins in ``besselhyp.analysis`` must agree with;
+``hp_approx_mpf`` is the same assembly in mpf with sinh and cosh (sin and
+cos) taken once per argument, which ``hp_approx`` must match to within its
+rounding floor.
 ``spherical_approximant`` builds the approximant from mpmath's
 half-integer Bessel functions, apart from the repository's algebra, and
 ``ref_I_accumulator``/``ref_J_accumulator`` keep the oracle loops that sum
@@ -18,10 +21,12 @@ bit for bit.
 
 import cmath
 import math
+from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
 
+from besselhyp.analysis import _check_dps, _finite_mpf
 from besselhyp.approximation import _compile, _j_term_sign, _node_power, make_nodes
 from besselhyp.coefficients import derive_expansion
 from besselhyp.reference import _MAX_TERMS, _TOL, _leading_term, _validate
@@ -176,6 +181,68 @@ def hp_approx_per_term(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
                 coeff *= _j_term_sign(q)
             acc = coeff * value if q == 1 else acc / zz + coeff * value
         if kind == "J" and n % 2:
+            acc = -acc
+        return acc / (2 * p)
+
+
+@lru_cache(maxsize=128)
+def _hp_nodes(p: int, prec: int) -> tuple[tuple[mp.mpf, ...], tuple[tuple[mp.mpf, ...], ...]]:
+    # Interior nodes c_k = cos(k pi / 2p), k = 1..p-1, at ``prec`` bits, and
+    # the kernel weights rows[q] = (2 c_k**q)_k for q = 0..4p-1, each row
+    # the previous one times the nodes.
+    with mp.workprec(prec):
+        nodes = tuple(mp.cos(mp.pi * k / (2 * p)) for k in range(1, p))
+        rows = [tuple(mp.mpf(2) for _ in nodes)]
+        for _ in range(1, 4 * p):
+            rows.append(tuple(w * c for w, c in zip(rows[-1], nodes)))
+    return nodes, tuple(rows)
+
+
+def _hp_kernel(values: list[mp.mpf], weights: tuple[mp.mpf, ...]) -> mp.mpf:
+    # kernel_q = f(z) + sum_k 2 c_k**q f(c_k z), from f taken once per argument.
+    total = values[0]
+    for w, f in zip(weights, values[1:]):
+        total += w * f
+    return total
+
+
+def hp_approx_mpf(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
+    """Arbitrary-precision approximant in mpf arithmetic: the kernel assembly.
+
+    The assembly is evaluated directly at any z != 0, with exact integer
+    coefficients and mpmath nodes, and it loses digits to the same small-z
+    cancellation as the binary64 plan: at (I, 31, 8, 0.3) and ``dps=120``
+    it is off by 5.6e-7 relative to a ``dps=300`` evaluation.  Callers
+    must size ``dps`` for that loss on top of the digits they need.
+    sinh and cosh (sin and cos) are each taken once per argument z, c_k z,
+    so a call costs at most 2p transcendentals; the kernels are summed from
+    them and assembled by the same Horner recurrence as the per-term form.
+    """
+    if kind not in ("I", "J"):
+        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+    if n >= 4 * p:
+        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
+    _check_dps(dps)
+    with mp.workdps(dps):
+        zz = _finite_mpf(z)
+        nodes, rows = _hp_nodes(p, mp.mp.prec)
+        trig = kind == "J"
+        args = [zz] + [c * zz for c in nodes]
+        cosh_like = mp.cos if trig else mp.cosh
+        if n == 0:
+            return (1 + _hp_kernel([cosh_like(a) for a in args], rows[0])) / (2 * p)
+        if zz == 0:
+            return mp.mpf(0)
+        sinh_like = mp.sin if trig else mp.sinh
+        odd = [sinh_like(a) for a in args]
+        even = [cosh_like(a) for a in args] if n >= 2 else odd
+        acc = mp.mpf(0)
+        for q, coeff in enumerate(derive_expansion(n), 1):
+            value = _hp_kernel(odd if q % 2 else even, rows[q])
+            if trig:
+                coeff *= _j_term_sign(q)
+            acc = coeff * value if q == 1 else acc / zz + coeff * value
+        if trig and n % 2:
             acc = -acc
         return acc / (2 * p)
 

@@ -8,7 +8,13 @@ import mpmath as mp
 import pytest
 
 from besselhyp import ref_I, ref_J
+from besselhyp import analysis
 from besselhyp.analysis import (
+    _geometric_grid,
+    _is_noise,
+    _largest_term_digits,
+    _least_squares_slope,
+    _log_error,
     approximant_series_coeff,
     bessel_i_series_coeff,
     first_mismatch_order,
@@ -19,7 +25,7 @@ from besselhyp.analysis import (
     node_power_sum,
 )
 from besselhyp.approximation import _assemble
-from fixtures import hp_approx_per_term, hp_ref_mpf_loop
+from fixtures import hp_approx_mpf, hp_approx_per_term, hp_ref_mpf_loop
 
 
 class TestNodePowerSum:
@@ -180,24 +186,67 @@ class TestFastTwins:
                     exact = bessel(n, mp.mpf(z))
                     assert abs(fast - exact) <= mp.mpf("1e-50") * abs(exact), (n, z)
 
-    def test_hp_approx_takes_at_most_2p_transcendentals(self, monkeypatch):
+    # Both signs at tiny |z|, where the assembly cancels most, up to |z| = 30.
+    _FLOOR_ZS = (1e-8, -1e-8, 1e-3, 0.08, 0.5, 4.0, 23.0, 30.0)
+
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_hp_approx_matches_mpf_within_its_floor(self, kind, p):
+        # The fixed-point assembly against the same assembly in mpf: within
+        # 10**-dps times the largest-term bound, the floor fit_error_slope
+        # relies on; for I also where cosh nears the top of binary64.
+        zs = self._FLOOR_ZS + ((700.0,) if kind == "I" else ())
+        for dps in (30, 80):
+            for n in range(4 * p):
+                for z in zs:
+                    fast = hp_approx(kind, n, p, z, dps=dps)
+                    slow = hp_approx_mpf(kind, n, p, z, dps=dps)
+                    floor = mp.mpf(10) ** (_largest_term_digits(kind, n, p, z) - dps)
+                    with mp.workdps(dps + 20):
+                        assert abs(fast - slow) <= floor, (n, z, dps)
+
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_log_error_is_ln_of_hp_error(self, kind, p):
+        # The integer logarithm of the error sample against mpmath's log of
+        # the same difference, on every sample clear of its rounding floor.
+        resolved = 0
+        for n in range(4 * p):
+            for z in (0.08, 0.2, 0.5):
+                log_err = _log_error(kind, n, p, z, 80)
+                if _is_noise(log_err, _largest_term_digits(kind, n, p, z), 80):
+                    continue
+                resolved += 1
+                with mp.workdps(80):
+                    exact = float(mp.log(abs(hp_error(kind, n, p, z, dps=80))))
+                assert log_err == pytest.approx(exact, rel=0, abs=1e-12), (n, z)
+        assert resolved >= 2 * p
+
+    def test_log_error_of_an_exact_agreement_is_minus_inf(self):
+        # A_0 = 1 = I_0 at z = 0: the integer difference is exactly zero.
+        assert _log_error("I", 0, 2, 0.0, 30) == -math.inf
+
+    def test_hp_approx_takes_p_paired_transcendentals(self, monkeypatch):
+        # One cosh/sinh (cos/sin) pair per argument z, c_k z: p per sample.
         calls = []
 
         def counted(fn):
-            def call(x):
+            def call(*args):
                 calls.append(fn)
-                return fn(x)
+                return fn(*args)
             return call
 
-        for name in ("sinh", "cosh", "sin", "cos"):
-            monkeypatch.setattr(mp, name, counted(getattr(mp, name)))
+        for name in ("mpf_cosh_sinh", "mpf_cos_sin"):
+            monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
         for kind in ("I", "J"):
             for p in range(1, 9):
-                hp_approx(kind, 0, p, 0.3, dps=30)  # caches the nodes at this precision
                 for n in range(4 * p):
                     calls.clear()
                     hp_approx(kind, n, p, 0.3, dps=30)
-                    assert 0 < len(calls) <= 2 * p, (kind, n, p, len(calls))
+                    assert len(calls) == p, (kind, n, p, len(calls))
+                    calls.clear()
+                    _log_error(kind, n, p, 0.3, 30)
+                    assert len(calls) == p, (kind, n, p, len(calls))
 
 
 class TestSlopeFit:
@@ -212,6 +261,20 @@ class TestSlopeFit:
             fit_error_slope("I", 0, 1, 0.1, 0.5, samples=1)
         with pytest.raises(ValueError, match="dps"):
             fit_error_slope("I", 0, 1, 0.1, 0.5, dps=0)
+
+    def test_geometric_grid(self):
+        # Both ends exactly as given, a constant ratio in between.
+        zs = _geometric_grid(0.1, 0.5, 8)
+        assert len(zs) == 8 and zs[0] == 0.1 and zs[-1] == 0.5
+        ratios = [b / a for a, b in zip(zs, zs[1:])]
+        assert max(ratios) - min(ratios) < 1e-14
+        assert _geometric_grid(0.08, 0.6, 2) == [0.08, 0.6]
+
+    def test_least_squares_slope(self):
+        xs = [math.log(z) for z in _geometric_grid(0.1, 0.5, 16)]
+        assert _least_squares_slope(xs, [7.0 * x - 3.0 for x in xs]) == pytest.approx(7.0, rel=1e-14)
+        # The fit through points off a line: slope of (0, 0), (1, 1), (2, 3).
+        assert _least_squares_slope([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]) == pytest.approx(1.5, rel=1e-15)
 
     def test_zero_error_names_dps(self):
         # The (0, 8) error, below 1e-70, is exactly zero at 2 digits and at

@@ -2,13 +2,16 @@
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import besselhyp
 from besselhyp import cli
-from besselhyp.analysis import first_mismatch_order
+from besselhyp.analysis import first_mismatch_order, hp_approx, hp_error, hp_ref
 
 EXPECTED = {
     "ApproxRequest",
@@ -61,13 +64,17 @@ SIGNATURES = [
     (besselhyp.tail_I0, ["p", "z"]),
     (besselhyp.identity_residual, ["which", "z", "p"]),
     (first_mismatch_order, ["n", "p"]),
+    (hp_approx, ["kind", "n", "p", "z", "dps"]),
+    (hp_ref, ["kind", "n", "z", "dps"]),
+    (hp_error, ["kind", "n", "p", "z", "dps"]),
 ]
 
 
 @pytest.mark.parametrize("fn,params", SIGNATURES, ids=[fn.__name__ for fn, _ in SIGNATURES])
 def test_no_settings_beyond_the_inputs(fn, params):
-    # The approximant is fixed by (kind, n, p, z) and the oracle by its
-    # order and argument: no tolerance, term limit, eps or search limit.
+    # The approximant is fixed by (kind, n, p, z), the oracle by its order
+    # and argument and the wide twins by those and their digits: no
+    # tolerance, term limit, eps or search limit.
     assert list(inspect.signature(fn).parameters) == params
 
 
@@ -84,3 +91,13 @@ def test_no_module_reads_the_environment():
     for path in package.glob("*.py"):
         text = path.read_text()
         assert "os.environ" not in text and "getenv" not in text, path.name
+
+
+def test_cli_import_loads_no_numpy():
+    # The package computes in floats, integers and mpmath only; numpy costs
+    # most of a cold start.
+    env = dict(os.environ)
+    src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    code = "import sys, besselhyp.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -178,6 +178,15 @@ class TestOverflow:
     def test_circular_kind_has_no_edge(self, z):
         assert math.isfinite(evaluate(ApproxRequest("J", 3, 2, z)))
 
+    #: Orders whose series or plan coefficients do not fit in binary64.
+    _BEYOND_BINARY64 = [("I", 140, 36, 2.0), ("I", 150, 40, 3.0), ("J", 150, 40, 3.0),
+                        ("I", 160, 41, 1.0), ("I", 200, 100, 1.0)]
+
+    @pytest.mark.parametrize("kind,n,p,z", _BEYOND_BINARY64)
+    def test_coefficients_beyond_binary64_are_typed(self, kind, n, p, z):
+        with pytest.raises(Binary64OverflowError, match="beyond binary64"):
+            evaluate(ApproxRequest(kind, n, p, z))
+
 
 class TestApproxJ:
     def test_order0_at_zero(self):

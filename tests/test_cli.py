@@ -80,6 +80,11 @@ class TestEval:
         assert out == ""
         assert "overflow" in err and "Traceback" not in err
 
+    def test_coefficients_beyond_binary64_are_domain_errors(self, capsys):
+        code, out, err = run(capsys, "eval", "-n", "150", "-p", "40", "-z", "3")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "beyond binary64" in err and "Traceback" not in err
+
     def test_bad_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--kind", "Q", "-n", "0", "-p", "2", "-z", "1")
         assert code == EXIT_USAGE

@@ -30,9 +30,12 @@ that is well-conditioned there:
   accepted only while its condition number sum|t| / |sum t| stays small;
 * the cached plan below, the assembly itself, which cancels between its
   negative powers of z for n >= 2 as z -> 0 (for I below about |z| = n**2/7);
-* for J where neither is well-conditioned, the node sum itself, with
-  j_{n-1}(c_k z) by upward recurrence at or above the turning point and
-  Miller's backward recurrence below it.
+* for J where neither is well-conditioned, the node sum itself: each node
+  at or above the turning point c_k |z| >= n - 1 takes j_{n-1}(c_k z) by
+  upward recurrence, and all nodes below it share one Miller backward
+  recurrence at the largest of them, x_b, which the multiplication theorem
+  j_m(lam x) = lam**m sum_l ((1 - lam**2) x/2)**l / l! j_{m+l}(x) (DLMF
+  10.23.1) turns into every node's value, lam = c_k / c_b.
 
 Every kernel of the order-n assembly is taken at the same p arguments z and
 c_k z; only the parity and the node weights 2 c_k**q change from term to
@@ -51,8 +54,10 @@ what it is given.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .coefficients import derive_expansion, double_factorial
@@ -450,46 +455,103 @@ def _sum_series(lead: float, ratios: tuple[float, ...], n: int, az: float,
 
 
 def _spherical_j(m: int, x: float) -> float:
-    """j_m(x) for x > 0: upward recurrence from j_0 and j_1 at or above the
-    turning point x = m, Miller's backward recurrence below it, normalised
-    by whichever of j_0, j_1 is larger."""
+    """j_m(x) at or above the turning point x >= m > 0 (and j_0 at any
+    x > 0), by upward recurrence from j_0 and j_1."""
     j0 = math.sin(x) / x
     if m == 0:
         return j0
-    j1 = (j0 - math.cos(x)) / x
     inv = 1.0 / x
-    if x >= m:
-        prev, cur = j0, j1
-        for odd in range(3, 2 * m, 2):  # 2l + 1 for l = 1 .. m-1
-            prev, cur = cur, odd * inv * cur - prev
-        return cur
-    # Start far enough above m that the error of the trial values has
-    # decayed below binary64 resolution by order m.
-    start = m + 8 + int(math.sqrt(8.0 * x))
+    prev, cur = j0, (j0 - math.cos(x)) * inv
+    for odd in range(3, 2 * m, 2):  # 2l + 1 for l = 1 .. m-1
+        prev, cur = cur, odd * inv * cur - prev
+    return cur
+
+
+def _multiplication_coeffs(m: int, members: Iterable[tuple[float, float, float]]
+                           ) -> tuple[float, ...]:
+    """V_l / (2**l l!) for l = 0 .. 8 + sqrt(8m), where V_l is the sum of
+    w lam**m mu**l over the members (w, lam, mu = 1 - lam**2).
+
+    By the multiplication theorem (DLMF 10.23.1, in spherical form),
+    j_m(lam x) = lam**m sum_l (mu x/2)**l / l! j_{m+l}(x), so these
+    coefficients give sum w j_m(lam x) = sum_l coeffs[l] x**l j_{m+l}(x).
+    """
+    # The group recurrence starts span orders above m: by order m its trial
+    # start has decayed below binary64 resolution, and by its top the
+    # multiplication sum's terms have decayed below that of the group.
+    span = 8 + int(math.sqrt(8.0 * m))
+    # One row of w lam**m mu**l per member, summed by column.
+    rows = [accumulate(repeat(mu, span), operator.mul, initial=w * lam**m)
+            for w, lam, mu in members]
+    scales = accumulate((0.5 / l for l in range(1, span + 1)), operator.mul, initial=1.0)
+    return tuple(map(operator.mul, scales, map(sum, zip(*rows))))
+
+
+def _group_sum(m: int, x: float, coeffs: tuple[float, ...]) -> float:
+    """sum_l coeffs[l] x**l j_{m+l}(x) for 0 < x < m: one Miller backward
+    recurrence from order m + len(coeffs) - 1, summed by Horner in x as it
+    passes each m + l, and normalised at the end by whichever of j_0, j_1 is
+    larger.  Below the turning point every j_{m+l}(x) is positive, and so is
+    every term."""
+    inv = 1.0 / x
+    top = m + len(coeffs) - 1
     nxt, cur = 0.0, 1e-150
-    for odd in range(2 * start + 1, 2 * m + 2, -2):  # l = start .. m+1
+    acc = 0.0
+    for odd, a in zip(range(2 * top + 1, 2 * m, -2), reversed(coeffs)):
+        acc = acc * x + a * cur  # cur is the trial j_l, odd = 2l + 1
         nxt, cur = cur, odd * inv * cur - nxt
-    at_m = cur
-    for odd in range(2 * m + 1, 2, -2):  # l = m .. 1
+    for odd in range(2 * m - 1, 2, -2):  # l = m-1 .. 1
         nxt, cur = cur, odd * inv * cur - nxt
+    j0 = math.sin(x) * inv
+    j1 = (j0 - math.cos(x)) * inv
     if abs(j0) >= abs(j1):
-        return at_m * (j0 / cur)
-    return at_m * (j1 / nxt)
+        return acc * (j0 / cur)
+    return acc * (j1 / nxt)
+
+
+@lru_cache(maxsize=None)
+def _node_terms(n: int, p: int) -> tuple[tuple[float, float], ...]:
+    # (c_k, weight) in decreasing c_k, with |z| itself as node 0 at weight 1.
+    return tuple(zip((1.0,) + make_nodes(p), (1.0,) + _node_weights(p, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _group(n: int, p: int, b: int) -> tuple[float, tuple[float, ...]]:
+    """The nodes b, b+1, ... of _node_terms(n, p) as one group anchored at
+    c_b: the bound factor sum_k w_k * m**m / (2m+1)!!, m = n - 1, and the
+    group's multiplication coefficients (see _multiplication_coeffs)."""
+    m = n - 1
+    terms = _node_terms(n, p)[b:]
+    cb = terms[0][0]
+    # lam = c / cb; mu = (cb - c)(cb + c) / cb**2, where cb - c is exact.
+    members = [(w, c / cb, (cb - c) * (cb + c) / (cb * cb)) for c, w in terms]
+    factor = sum(w for _, w in terms)
+    for odd in range(3, 2 * m + 2, 2):
+        factor *= m / odd
+    return factor, _multiplication_coeffs(m, members)
 
 
 def _node_sum(n: int, p: int, az: float) -> float:
-    # (|z|/2p) [j_{n-1}(|z|) + sum_k 2 c_k**(n+1) j_{n-1}(c_k |z|)], n >= 1.
-    # |j_m(x)| <= x**m / (2m+1)!! (DLMF 10.14.4 through j_m = sqrt(pi/2x)
-    # J_{m+1/2}), so the sum stops at the first node whose term is bounded
-    # below half an ulp of the sum so far; the nodes decrease, and so do
-    # the bounds of the nodes after it.
-    total = _spherical_j(n - 1, az)
-    scale = 1.0 / double_factorial(2 * n - 1)
-    for w, c in zip(_node_weights(p, n + 1), make_nodes(p)):
+    """(|z|/2p) [j_m(|z|) + sum_k 2 c_k**(n+1) j_m(c_k |z|)], m = n - 1 >= 0.
+
+    Nodes at or above the turning point c_k |z| >= m take the upward
+    recurrence each.  The nodes below it form one group, summed by one
+    Miller recurrence at the largest of them, x_b (_group_sum); contracting
+    from an argument above the turning point would cancel.  The group is
+    skipped when its bound sum_{k>=b} w_k x_b**m / (2m+1)!! is below half an
+    ulp of the sum so far: |j_m(x)| <= x**m / (2m+1)!! (DLMF 10.14.4 through
+    j_m = sqrt(pi/2x) J_{m+1/2}), and no node of the group lies above x_b.
+    """
+    m = n - 1
+    total = 0.0
+    for b, (c, w) in enumerate(_node_terms(n, p)):
         x = c * az
-        if w * x ** (n - 1) * scale < 0.5 * math.ulp(total):
+        if x < m:
+            factor, coeffs = _group(n, p, b)
+            if factor * (x / m) ** m >= 0.5 * math.ulp(total):
+                total += _group_sum(m, x, coeffs)
             break
-        total += w * _spherical_j(n - 1, x)
+        total += w * _spherical_j(m, x)
     return az * total / (2 * p)
 
 

@@ -1,17 +1,22 @@
-"""Independent series oracle for I_n, J_n, lacunary tails, and identities.
+"""Independent oracle for I_n, J_n, lacunary tails, and identities.
 
-Everything the approximants are measured against comes from this module: a
-from-scratch ascending power series in binary64 with compensated summation,
-never a platform Bessel routine.  Library implementations may appear in the
-test suite as an additional cross-check, but the oracle is this one.  Its
-stopping rule is fixed: a series stops once a term falls below 1e-15 of
-the partial sum (for J, two terms in a row), or after 200 terms.
+Everything the approximants are measured against comes from this module,
+written from scratch in binary64 and never a platform Bessel routine.
+Library implementations may appear in the test suite as an additional
+cross-check, but the oracle is this one.  ref_I, and ref_J while
+z**2 <= 8 (n + 1), sum the ascending power series with compensated
+summation; the stopping rule is fixed: a series stops once a term falls
+below 1e-15 of the partial sum (for J, two terms in a row), or after 200
+terms.  Beyond that reach ref_J runs Miller's backward recurrence, where
+the alternating series would cancel.
 
 Arguments are capped at |z| <= 30 and orders at n <= 64.  Against the
 fixed-point series ``analysis.hp_ref``, the largest relative error over
 n <= 64 of ref_I, a sum of positive terms, is below 1e-15 at z = 10, 20
-and 30.  ref_J's alternating sum cancels as |z| grows: its largest is
-1.6e-12 at z = 10, 7.1e-9 at z = 20 and 5.3e-4 at z = 30.
+and 30.  ref_J is within 1e-13 relative or 1e-15 absolute for every
+n <= 64 up to |z| = 30 (on a grid of step 0.37 its largest absolute error
+is 7.7e-16).  Its largest relative error is 7.1e-15 at z = 10, 2.3e-14 at
+z = 30, and 2.0e-13 at z = 20, where J_15 is next to its first zero.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ N_MAX = 64
 
 _TOL = 1e-15
 _MAX_TERMS = 200
+#: ref_J sums its series while z**2 <= _J_SERIES_REACH (n + 1), and takes
+#: Miller's recurrence beyond.
+_J_SERIES_REACH = 8.0
 
 #: Tags of the supported node-sum identities, checked as (lhs - rhs):
 #:   N2   cosh z                       = I_0 + 2 (I_2 + I_4 + ...)
@@ -72,12 +80,22 @@ def ref_I(n: int, z: float) -> float:
 
 
 def ref_J(n: int, z: float) -> float:
+    """J_n: the alternating series while z**2 <= _J_SERIES_REACH (n + 1),
+    where it is the cheaper of the two and well-conditioned, and Miller's
+    backward recurrence beyond."""
+    _validate(n, z)
+    if z * z <= _J_SERIES_REACH * (n + 1):
+        return _series_J(n, z)
+    value = _miller_J(n, abs(z))
+    return -value if z < 0 and n % 2 else value
+
+
+def _series_J(n: int, z: float) -> float:
     """Alternating series for J_n, with a two-term lookahead stop.
 
     The lookahead guards against stopping on an accidentally small term of
     an alternating sum before its neighbour has been folded in.
     """
-    _validate(n, z)
     tol = _TOL
     term = _leading_term(n, z)
     # Neumaier-compensated sum of the terms, in locals.
@@ -96,6 +114,34 @@ def ref_J(n: int, z: float) -> float:
         if abs(term) <= bound and lookahead <= bound:
             break
     return total + carry
+
+
+def _miller_J(n: int, x: float) -> float:
+    """J_n(x) for x > 0 by Miller's backward recurrence
+    J_{k-1} = (2k/x) J_k - J_{k+1} from trial values 0 and 1 at an even
+    order N = max(n, x) + 16 + sqrt(40 max(n, x)), normalised by
+    1 = J_0 + 2 sum_k J_2k (DLMF §10.12).  The trial values are rescaled by
+    1e-250 whenever one passes 1e250."""
+    top = max(n, x)
+    start = int(top + 16.0 + math.sqrt(40.0 * top))
+    start += start % 2
+    two_over_x = 2.0 / x
+    above, cur = 0.0, 1.0  # trial J_{k+1}, J_k
+    evens = at_n = 0.0  # trial sum of J_2k for 2k >= 2, and J_n once passed
+    for k in range(start, 0, -1):
+        if k == n:
+            at_n = cur
+        if not k % 2:
+            evens += cur
+        above, cur = cur, k * two_over_x * cur - above
+        if abs(cur) > 1e250:
+            above *= 1e-250
+            cur *= 1e-250
+            evens *= 1e-250
+            at_n *= 1e-250
+    if n == 0:
+        at_n = cur
+    return at_n / (cur + 2.0 * evens)
 
 
 def _lacunary(ref: Callable[[int, float], float], step: int, z: float) -> float:

@@ -19,11 +19,12 @@ from besselhyp.analysis import hp_approx
 from besselhyp import approximation
 from besselhyp.approximation import (
     _assemble,
+    _group,
+    _group_sum,
     _node_sum,
-    _node_weights,
+    _node_terms,
     _route,
     _spherical_j,
-    make_nodes,
 )
 from fixtures import _approx_J_complex, closed_form_p2, spherical_approximant
 
@@ -286,23 +287,36 @@ class TestClosedForms:
 
 
 class TestNodeSum:
+    def _full(self, n, p, z):
+        # Every node: the upward recurrence at or above the turning point,
+        # and the group below it however small its bound.
+        m = n - 1
+        full = 0.0
+        for b, (c, w) in enumerate(_node_terms(n, p)):
+            if c * z < m:
+                return z * (full + _group_sum(m, c * z, _group(n, p, b)[1])) / (2 * p)
+            full += w * _spherical_j(m, c * z)
+        return z * full / (2 * p)
+
     def test_negligible_nodes_are_skipped(self, monkeypatch):
-        # At (J, 24, 8, 20) the smallest nodes' terms are bounded below half
-        # an ulp of the sum; the sum that skips them stays within
-        # tests/test_paths.py's bound of the one that does not.
-        n, p, z = 24, 8, 20.0
-        full = _spherical_j(n - 1, z)
-        for w, c in zip(_node_weights(p, n + 1), make_nodes(p)):
-            full += w * _spherical_j(n - 1, c * z)
-        full = z * full / (2 * p)
+        # At (J, 31, 8, 120) only the smallest node lies below the turning
+        # point, and its bound is below half an ulp of the sum of the rest:
+        # the group is skipped, and the sum stays within
+        # tests/test_paths.py's bound of the one that takes it.
+        n, p, z = 31, 8, 120.0
+        assert sum(c * z < n - 1 for c, _ in _node_terms(n, p)) == 1
+        full = self._full(n, p, z)
         calls = []
 
-        def counted(m, x):
+        def counted(m, x, coeffs):
             calls.append(x)
-            return _spherical_j(m, x)
+            return _group_sum(m, x, coeffs)
 
-        monkeypatch.setattr(approximation, "_spherical_j", counted)
+        monkeypatch.setattr(approximation, "_group_sum", counted)
         got = _node_sum(n, p, z)
-        assert len(calls) < p
+        assert calls == []
         _, scale = spherical_approximant("J", n, p, z)
         assert abs(got - full) <= 1e-12 * scale
+        # Where the group's bound is not negligible, it is taken, once.
+        assert _node_sum(24, 8, 20.0) == self._full(24, 8, 20.0)
+        assert calls == [20.0]

@@ -16,7 +16,11 @@ import pytest
 from besselhyp import ApproxRequest, Binary64OverflowError, evaluate
 from besselhyp.analysis import approximant_series_coeff
 from besselhyp.approximation import (
+    _group,
+    _group_sum,
+    _multiplication_coeffs,
     _node_sum,
+    _node_terms,
     _series,
     _spherical_j,
     _sum_series,
@@ -32,6 +36,9 @@ ZS = (0.0, 1e-3, 0.05, 0.31, 0.77, 1.3, 2.2, 3.1, 4.4, 5.9, 7.3, 8.8, 10.5, 12.6
       14.9, 17.2, 19.8, 22.5, 25.1, 27.7, 30.0)
 # Near the binary64 edge of cosh (about 710.48), where I takes the plan.
 ZS_EDGE = (650.0, 700.0, 709.0, 710.4)
+# Past the grid above, where J still takes the node sum (up to |z| of about
+# 1900 at p >= 12) and most nodes lie above the turning point.
+ZS_FAR = (47.0, 91.0, 240.0, 700.0, 1500.0)
 
 
 def _misses(kind, p, zs):
@@ -78,17 +85,56 @@ def test_weights_match_the_exact_series(p):
             assert w[n + k] == pytest.approx(float(weight), rel=1e-15, abs=0), (n, k)
 
 
+def _spherical_j_mp(m, x):
+    return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(1) / 2, x)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 12, 30])
 def test_spherical_bessel_both_sides_of_the_turning_point(m):
+    # At or above the turning point x = m the upward recurrence; below it
+    # the group recurrence with a single node (weight 1, lam = 1).
+    single = _multiplication_coeffs(m, [(1.0, 1.0, 0.0)])
     for x in (0.4, 0.9 * m + 0.1, m + 0.05, 1.1 * m + 0.5, 3.0 * m + 2.0, 41.0):
-        want = mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(1) / 2, x)
-        assert _spherical_j(m, x) == pytest.approx(float(want), rel=1e-13, abs=1e-300), x
+        got = _spherical_j(m, x) if x >= m else _group_sum(m, x, single)
+        assert got == pytest.approx(float(_spherical_j_mp(m, x)), rel=1e-13, abs=1e-300), x
+
+
+@pytest.mark.parametrize("n,p,b", [(25, 8, 2), (31, 12, 0), (9, 3, 1)])
+def test_group_coefficients_are_the_node_sum(n, p, b):
+    # Summed with the exact j_{m+l}(x) in mpmath, the group's coefficients
+    # give the group's node sum sum_{k>=b} w_k j_m(lam_k x), lam_k = c_k/c_b,
+    # taken directly in mpmath: the multiplication theorem, truncated where
+    # the recurrence stops, at arguments below the turning point.
+    m = n - 1
+    _, coeffs = _group(n, p, b)
+    terms = _node_terms(n, p)[b:]
+    with mp.workdps(30):
+        for x in (0.3 * m, 0.7 * m, 0.99 * m):
+            x = mp.mpf(x)
+            got = sum(a * x**l * _spherical_j_mp(m + l, x) for l, a in enumerate(coeffs))
+            want = sum(w * _spherical_j_mp(m, c / terms[0][0] * x) for c, w in terms)
+            assert abs(got - want) <= 1e-14 * want, (float(x), float(got), float(want))
 
 
 @pytest.mark.parametrize("n,p,z", [(31, 8, 25.1), (20, 8, 22.5), (13, 5, 17.2), (2, 3, 9.0)])
 def test_node_sum_is_the_approximant(n, p, z):
     want, scale = spherical_approximant("J", n, p, z)
     assert abs(_node_sum(n, p, z) - want) <= TOL * scale
+
+
+@pytest.mark.parametrize("p", [2, 4, 8, 12])
+def test_node_sum_far_past_the_grid(p):
+    # Nodes above the turning point take the upward recurrence and only the
+    # rest share one group; a group anchored above it would cancel (at
+    # (3, 8, 120) by a factor of thousands).
+    misses = []
+    for n in range(2, 4 * p, 3 if p == 12 else 1):
+        for z in ZS_FAR:
+            want, scale = spherical_approximant("J", n, p, z)
+            err = abs(_node_sum(n, p, z) - want)
+            if err > TOL * abs(want) and err > TOL * scale:
+                misses.append((n, z, float(err / scale)))
+    assert misses == []
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (9, 4), (20, 8)])

@@ -5,7 +5,15 @@ import math
 import pytest
 
 from besselhyp import identity_residual, ref_I, ref_J, tail_I0
-from besselhyp.reference import _MAX_TERMS, _TOL, IDENTITY_TAGS
+from besselhyp.analysis import hp_ref
+from besselhyp.reference import (
+    _J_SERIES_REACH,
+    _MAX_TERMS,
+    _TOL,
+    IDENTITY_TAGS,
+    _miller_J,
+    _series_J,
+)
 from fixtures import ref_I_accumulator, ref_J_accumulator
 
 # Frozen by brute-force partial sums at tolerance 1e-15; stable by construction.
@@ -70,18 +78,54 @@ class TestRefJ:
 
 
 class TestCompensatedLoop:
-    """ref_I/ref_J sum in locals; the accumulator-object loops they replaced
-    are kept in the fixtures and must give the same bits."""
+    """ref_I and ref_J's series sum in locals; the accumulator-object loops
+    they replaced are kept in the fixtures and must give the same bits."""
 
     ZS = (-30.0, -17.3, -2.5, -0.0, 0.0, 1e-300, 1e-3, 0.37, 1.0, 4.0, 9.99, 15.0,
           22.2, 29.5, 30.0)
+    ORDERS = list(range(0, 33)) + [40, 51, 64]
 
-    @pytest.mark.parametrize("fn,fixture", [(ref_I, ref_I_accumulator),
-                                            (ref_J, ref_J_accumulator)])
+    @pytest.mark.parametrize("fn,fixture", [
+        (ref_I, ref_I_accumulator),
+        # ref_J's series, on the whole grid; the id names the oracle.
+        pytest.param(_series_J, ref_J_accumulator, id="ref_J-ref_J_accumulator"),
+    ])
     def test_bit_for_bit(self, fn, fixture):
-        for n in list(range(0, 33)) + [40, 51, 64]:
+        for n in self.ORDERS:
             for z in self.ZS:
                 assert fn(n, z).hex() == fixture(n, z).hex(), (n, z)
+
+    def test_ref_J_is_its_series_within_reach(self):
+        taken = 0
+        for n in self.ORDERS:
+            for z in self.ZS:
+                if z * z <= _J_SERIES_REACH * (n + 1):
+                    taken += 1
+                    assert ref_J(n, z).hex() == ref_J_accumulator(n, z).hex(), (n, z)
+        assert taken > len(self.ORDERS) * len(self.ZS) // 2
+
+
+class TestMillerJ:
+    """Beyond the series' reach ref_J runs Miller's backward recurrence."""
+
+    # Irregular, with the first zeros of J_0 and J_1 and the old series'
+    # worst arguments.
+    ZS = (0.37, 1.9, 2.404825557695773, 3.8317059702075125, 4.4, 6.1, 8.3, 10.0,
+          12.7, 14.9, 17.3, 20.0, 22.2, 25.9, 27.6, 29.5, 30.0)
+
+    @pytest.mark.parametrize("n", range(0, 65))
+    def test_against_the_fixed_point_series(self, n):
+        # Within 1e-13 relative of hp_ref, or 1e-15 absolute near a zero.
+        for z in self.ZS + tuple(-z for z in self.ZS[::4]):
+            want = float(hp_ref("J", n, z, dps=40))
+            err = abs(ref_J(n, z) - want)
+            assert err <= 1e-13 * abs(want) or err <= 1e-15, (z, ref_J(n, z), want)
+
+    def test_rescaled_trial_values(self):
+        # From order 130 down to 0 at x = 1 the trial values grow past
+        # 1e250; rescaled, J_64(1) is still the series' value.
+        assert _miller_J(64, 1.0) == pytest.approx(_series_J(64, 1.0), rel=1e-14)
+        assert _miller_J(0, 1.0) == pytest.approx(J0_AT_1, rel=1e-15)
 
 
 class TestSeriesPolicy:

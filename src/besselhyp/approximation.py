@@ -72,9 +72,10 @@ class Binary64OverflowError(DomainError, OverflowError):
 
     Raised where sinh/cosh themselves overflow, for I above about
     |z| = 710.48, or where the value itself does; and for every argument of
-    an order (past about n = 140) whose series or plan coefficients do not
-    fit in binary64.  It is also an OverflowError, which is what the
-    hyperbolic functions themselves raise.
+    an order whose series or plan coefficients do not fit in binary64.
+    Every order from n = 97 is one: the power z**n at the series' reach
+    |z| = n**2/6 passes 1e308 there.  It is also an OverflowError, which is
+    what the hyperbolic functions themselves raise.
     """
 
 

@@ -21,10 +21,8 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 
-from .analysis import fit_error_slope
 from .approximation import ApproxRequest, DomainError, evaluate
 from .coefficients import derive_expansion
 from .reference import identity_residual, ref_I, ref_J
@@ -35,62 +33,38 @@ EXIT_DOMAIN = 3
 EXIT_CONSISTENCY = 4
 
 CSV_HEADER = "kind,n,p,z,approx,oracle,abs_err,rel_err,ns,flag"
+#: One CSV row per format: error columns at 2 significant digits, or at
+#: 17 with --full.
+ROW_CSV = "%s,%d,%d,%.16e,%.16e,%.16e,%.1e,%.1e,%d,%s"
+ROW_CSV_FULL = "%s,%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e,%d,%s"
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """One approximant-versus-oracle comparison row."""
-
-    kind: str
-    n: int
-    p: int
-    z: float
-    approx: float
-    oracle: float
-    abs_err: float
-    rel_err: float
-    ns: int
-    rel_err_is_abs: bool = False
-
-
-def make_report(kind: str, n: int, p: int, z: float) -> EvalReport:
+def _row(kind: str, n: int, p: int, z: float) -> tuple:
+    """One approximant-versus-oracle comparison, in CSV column order."""
     req = ApproxRequest(kind=kind, n=n, p=p, z=z)
     start = time.perf_counter_ns()
     value = evaluate(req)
-    elapsed = time.perf_counter_ns() - start
+    ns = time.perf_counter_ns() - start
     oracle = ref_I(n, z) if kind == "I" else ref_J(n, z)
     abs_err = abs(value - oracle)
     if oracle != 0.0:
-        return EvalReport(kind, n, p, req.z, value, oracle, abs_err,
-                          abs_err / abs(oracle), elapsed)
-    return EvalReport(kind, n, p, req.z, value, oracle, abs_err, abs_err,
-                      elapsed, rel_err_is_abs=True)
+        return (kind, n, p, req.z, value, oracle, abs_err, abs_err / abs(oracle), ns, "")
+    return (kind, n, p, req.z, value, oracle, abs_err, abs_err, ns, "abs")
 
 
-def _report_csv(r: EvalReport, full: bool) -> str:
-    err = "{:.16e}" if full else "{:.1e}"
-    return ",".join([
-        r.kind, str(r.n), str(r.p), f"{r.z:.16e}", f"{r.approx:.16e}",
-        f"{r.oracle:.16e}", err.format(r.abs_err), err.format(r.rel_err),
-        str(r.ns), "abs" if r.rel_err_is_abs else "",
-    ])
-
-
-def _report_dict(r: EvalReport) -> dict:
-    return {
-        "kind": r.kind, "n": r.n, "p": r.p, "z": r.z, "approx": r.approx,
-        "oracle": r.oracle, "abs_err": r.abs_err, "rel_err": r.rel_err,
-        "ns": r.ns, "flag": "abs" if r.rel_err_is_abs else "",
-    }
-
-
-def _emit_reports(reports: list[EvalReport], fmt: str, full: bool) -> None:
+def _emit_rows(rows: list[tuple], fmt: str, full: bool) -> None:
     if fmt == "json":
-        print(json.dumps([_report_dict(r) for r in reports], indent=2))
+        keys = CSV_HEADER.split(",")
+        print(json.dumps([dict(zip(keys, row)) for row in rows], indent=2))
         return
-    print(CSV_HEADER)
-    for r in reports:
-        print(_report_csv(r, full))
+    line = ROW_CSV_FULL if full else ROW_CSV
+    print(CSV_HEADER, *[line % row for row in rows], sep="\n")
+
+
+def fit_error_slope(*args, **kwargs) -> float:
+    # mpmath loads with analysis, which only scaling needs.
+    from .analysis import fit_error_slope
+    return fit_error_slope(*args, **kwargs)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -122,16 +96,15 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    report = make_report(args.kind, args.n, args.p, args.z)
-    _emit_reports([report], args.format, args.full)
+    _emit_rows([_row(args.kind, args.n, args.p, args.z)], args.format, args.full)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     orders = sorted(set(_parse_ints(args.n)))
     zs = sorted(set(_parse_floats(args.z)))
-    reports = [make_report(args.kind, n, args.p, z) for n in orders for z in zs]
-    _emit_reports(reports, args.format, args.full)
+    rows = [_row(args.kind, n, args.p, z) for n in orders for z in zs]
+    _emit_rows(rows, args.format, args.full)
     return EXIT_OK
 
 

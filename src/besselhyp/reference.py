@@ -59,24 +59,33 @@ def _leading_term(n: int, z: float) -> float:
 
 
 def ref_I(n: int, z: float) -> float:
-    """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
+    """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!).
+
+    The series is summed at |z|, where every term is >= 0, and I_n(-z) =
+    (-1)**n I_n(z) restores the sign.  Each step of the sum is symmetric in
+    the sign of z, so this gives the same bits as summing at z itself.
+    """
     _validate(n, z)
+    x = abs(z)
     tol = _TOL
-    term = _leading_term(n, z)
-    # Neumaier-compensated sum of the terms, in locals.
+    term = _leading_term(n, x)
+    # Neumaier-compensated sum of the terms, in locals; with every term
+    # >= 0 no comparison needs an abs.
     total, carry = 0.0 + term, 0.0  # the first add, exactly
-    ratio = 0.25 * z * z
+    ratio = 0.25 * x * x
     for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
         t = total + term
-        if abs(total) >= abs(term):
+        if total >= term:
             carry += (total - t) + term
         else:
             carry += (term - t) + total
         total = t
-        if abs(term) <= tol * abs(total + carry):
+        if term <= tol * (total + carry):
             break
-    return total + carry
+    value = total + carry
+    # 0.0 - value, not -value: the sum at z never gives -0.0.
+    return 0.0 - value if z < 0.0 and n % 2 else value
 
 
 def ref_J(n: int, z: float) -> float:

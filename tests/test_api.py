@@ -93,11 +93,21 @@ def test_no_module_reads_the_environment():
         assert "os.environ" not in text and "getenv" not in text, path.name
 
 
-def test_cli_import_loads_no_numpy():
-    # The package computes in floats, integers and mpmath only; numpy costs
-    # most of a cold start.
+def _cli_import_loads(module):
     env = dict(os.environ)
     src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    code = "import sys, besselhyp.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, besselhyp.cli; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_cli_import_loads_no_numpy():
+    # The package computes in floats, integers and mpmath only; numpy costs
+    # most of a cold start.
+    assert not _cli_import_loads("numpy")
+
+
+def test_cli_import_loads_no_mpmath():
+    # Only scaling needs analysis and its mpmath, which the CLI imports on
+    # the first scaling call.
+    assert not _cli_import_loads("mpmath")

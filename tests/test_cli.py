@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -134,6 +135,96 @@ class TestTable:
         code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1,2", "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)) == 4
+
+
+def mask_ns(out):
+    """The output with each row's timing replaced by "NS"."""
+    if out.startswith("["):
+        return re.sub(r'"ns": \d+', '"ns": NS', out)
+    lines = [line.split(",") for line in out.split("\n")]
+    for fields in lines[1:-1]:
+        fields[8] = "NS"
+    return "\n".join(",".join(fields) for fields in lines)
+
+
+class TestPinnedBytes:
+    """Exact output of eval and table, timings masked, with a zero oracle
+    (an "abs" row) and a negative argument."""
+
+    TABLE = ("table", "--kind", "J", "-p", "2", "-n", "0,3", "-z", "0,1.5,2.5")
+    TABLE_CSV = (
+        "kind,n,p,z,approx,oracle,abs_err,rel_err,ns,flag\n"
+        "J,0,2,0.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+00,"
+        "0.0e+00,0.0e+00,NS,\n"
+        "J,0,2,1.5000000000000000e+00,5.1183233586651311e-01,5.1182767173591814e-01,"
+        "4.7e-06,9.1e-06,NS,\n"
+        "J,0,2,2.5000000000000000e+00,-4.8135621732241229e-02,-4.8383776468197998e-02,"
+        "2.5e-04,5.1e-03,NS,\n"
+        "J,3,2,0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
+        "0.0e+00,0.0e+00,NS,abs\n"
+        "J,3,2,1.5000000000000000e+00,6.0723176792455924e-02,6.0963951141139630e-02,"
+        "2.4e-04,3.9e-03,NS,\n"
+        "J,3,2,2.5000000000000000e+00,2.1431719553409490e-01,2.1660039103911355e-01,"
+        "2.3e-03,1.1e-02,NS,\n"
+    )
+    TABLE_FULL = (
+        "kind,n,p,z,approx,oracle,abs_err,rel_err,ns,flag\n"
+        "J,0,2,0.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+00,"
+        "0.0000000000000000e+00,0.0000000000000000e+00,NS,\n"
+        "J,0,2,1.5000000000000000e+00,5.1183233586651311e-01,5.1182767173591814e-01,"
+        "4.6641305949668421e-06,9.1126972075346088e-06,NS,\n"
+        "J,0,2,2.5000000000000000e+00,-4.8135621732241229e-02,-4.8383776468197998e-02,"
+        "2.4815473595676818e-04,5.1288831519771287e-03,NS,\n"
+        "J,3,2,0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
+        "0.0000000000000000e+00,0.0000000000000000e+00,NS,abs\n"
+        "J,3,2,1.5000000000000000e+00,6.0723176792455924e-02,6.0963951141139630e-02,"
+        "2.4077434868370606e-04,3.9494544591816482e-03,NS,\n"
+        "J,3,2,2.5000000000000000e+00,2.1431719553409490e-01,2.1660039103911355e-01,"
+        "2.2831955050186536e-03,1.0541049783268192e-02,NS,\n"
+    )
+    # (approx, oracle, abs_err, rel_err, flag) of each row of TABLE.
+    TABLE_JSON_VALUES = (
+        (1.0, 1.0, 0.0, 0.0, ""),
+        (0.5118323358665131, 0.5118276717359181, 4.664130594966842e-06,
+         9.112697207534609e-06, ""),
+        (-0.04813562173224123, -0.048383776468198, 0.0002481547359567682,
+         0.005128883151977129, ""),
+        (0.0, 0.0, 0.0, 0.0, "abs"),
+        (0.060723176792455924, 0.06096395114113963, 0.00024077434868370606,
+         0.003949454459181648, ""),
+        (0.2143171955340949, 0.21660039103911355, 0.0022831955050186536,
+         0.010541049783268192, ""),
+    )
+    EVAL_CSV = (
+        "kind,n,p,z,approx,oracle,abs_err,rel_err,ns,flag\n"
+        "I,3,2,-1.5000000000000000e+00,-8.1103318525858059e-02,-8.0774113016092303e-02,"
+        "3.3e-04,4.1e-03,NS,\n"
+    )
+
+    def test_table_csv(self, capsys):
+        code, out, _ = run(capsys, *self.TABLE)
+        assert code == EXIT_OK and mask_ns(out) == self.TABLE_CSV
+
+    def test_table_full(self, capsys):
+        code, out, _ = run(capsys, *self.TABLE, "--full")
+        assert code == EXIT_OK and mask_ns(out) == self.TABLE_FULL
+
+    def test_table_json(self, capsys):
+        code, out, _ = run(capsys, *self.TABLE, "--format", "json")
+        assert code == EXIT_OK
+        entries = [
+            {"kind": "J", "n": n, "p": 2, "z": z, "approx": approx, "oracle": oracle,
+             "abs_err": abs_err, "rel_err": rel_err, "ns": "NS", "flag": flag}
+            for (n, z), (approx, oracle, abs_err, rel_err, flag) in zip(
+                [(n, z) for n in (0, 3) for z in (0.0, 1.5, 2.5)], self.TABLE_JSON_VALUES)
+        ]
+        want = json.dumps(entries, indent=2).replace('"ns": "NS"', '"ns": NS')
+        assert mask_ns(out) == want + "\n"
+        assert [list(entry) for entry in json.loads(out)] == [CSV_HEADER.split(",")] * 6
+
+    def test_eval_negative_argument(self, capsys):
+        code, out, _ = run(capsys, "eval", "-n", "3", "-p", "2", "-z", "-1.5")
+        assert code == EXIT_OK and mask_ns(out) == self.EVAL_CSV
 
 
 class TestCoeffs:

@@ -81,8 +81,10 @@ class TestCompensatedLoop:
     """ref_I and ref_J's series sum in locals; the accumulator-object loops
     they replaced are kept in the fixtures and must give the same bits."""
 
-    ZS = (-30.0, -17.3, -2.5, -0.0, 0.0, 1e-300, 1e-3, 0.37, 1.0, 4.0, 9.99, 15.0,
-          22.2, 29.5, 30.0)
+    # Small negative arguments check the sign ref_I restores for odd n; at
+    # -1e-300 every order n >= 2 underflows to a zero, which stays +0.0.
+    ZS = (-30.0, -17.3, -2.5, -1e-3, -1e-300, -0.0, 0.0, 1e-300, 1e-3, 0.37, 1.0, 4.0,
+          9.99, 15.0, 22.2, 29.5, 30.0)
     ORDERS = list(range(0, 33)) + [40, 51, 64]
 
     @pytest.mark.parametrize("fn,fixture", [

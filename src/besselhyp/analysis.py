@@ -11,11 +11,12 @@ ways:
   power sums (a binomial sum, for every p), and
 * arbitrary-precision evaluation of both the assembly and the reference
   series, each in fixed-point integers (_approx_fixed, _ref_fixed), for
-  error measurements and log-log slope fits.  The assembly takes one paired
-  mpmath transcendental (cosh and sinh, or cos and sin) per argument z,
-  c_k z, so p per sample; everything else is integer arithmetic.  An error
-  sample is one integer difference of the two at a common scale, and its
-  logarithm is read from the integer's bits.
+  error measurements and log-log slope fits.  The assembly takes one call
+  of mpmath's fixed-point kernels (exp_fixed, whose e**|x| and reciprocal
+  give cosh and sinh, or cos_sin_fixed) on the integer argument z, c_k z
+  at the working scale, so p per sample; everything else is integer
+  arithmetic.  An error sample is one integer difference of the two at a
+  common scale, and its logarithm is read from the integer's bits.
 
 Neither path touches any library Bessel implementation, or the binary64
 plan; the reference stays the same ascending series, just in wider
@@ -31,8 +32,9 @@ from math import comb, factorial
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, ln2_fixed, mpf_cos_sin,
-                          mpf_cosh_sinh, mpf_div, round_nearest, to_fixed)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_div, round_nearest,
+                          to_fixed)
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .approximation import _j_term_sign
 from .coefficients import derive_expansion
@@ -168,15 +170,6 @@ def _scale(dps: int, n: int, p: int, man: int, exp: int) -> int:
     return dps_to_prec(dps) + _GUARD_BITS + (n * p).bit_length() + small
 
 
-def _mpf(man: int, exp: int) -> tuple:
-    # The raw mpf man 2**exp, normalised as from_man_exp would: odd mantissa.
-    if not man:
-        return fzero
-    zeros = (man & -man).bit_length() - 1
-    odd = abs(man) >> zeros
-    return (int(man < 0), odd, exp + zeros, odd.bit_length())
-
-
 @lru_cache(maxsize=128)
 def _fixed_nodes(p: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     # Interior nodes c_k = cos(k pi / 2p), k = 1..p-1, and the kernel weights
@@ -206,8 +199,10 @@ def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
 def _approx_fixed(kind: str, n: int, p: int, z, F: int) -> int:
     """2p A_n(z) 2**F as an integer, from the kernel assembly in fixed point.
 
-    z = man 2**exp is taken exactly.  Each argument z, c_k z takes one paired
-    transcendental, cosh and sinh (cos and sin), to 2**-F absolute; the
+    z = man 2**exp is taken exactly.  Each argument z, c_k z is carried as
+    an integer at 2**P and takes one call of mpmath's fixed-point kernels:
+    exp_fixed for I, whose e**|x| and its reciprocal give cosh and sinh, or
+    cos_sin_fixed for J; the pair is then shifted to 2**-F absolute.  The
     nodes and weights carry at least the bits of e**|z| |z| more, so that
     their rounding stays below that too.  The kernels are integer dot
     products, and the Horner step acc/z is a floor division by man shifted
@@ -218,18 +213,28 @@ def _approx_fixed(kind: str, n: int, p: int, z, F: int) -> int:
     trig = kind == "J"
     if n and not man:
         return 0
+    mag = max(0, exp + man.bit_length())  # |z| < 2**mag
     e_bits = 0 if trig else _e_bits(man, exp)
     # Node scale: F and the bits of e**|z| |z|, rounded up to a multiple of
     # 64 so that the nodes cache per (p, bits) across nearby F and z.
-    bits = -(-(F + e_bits + max(0, exp + man.bit_length())) // 64) * 64
+    bits = -(-(F + e_bits + mag) // 64) * 64
     nodes, rows = _fixed_nodes(p, bits)
-    paired = mpf_cos_sin if trig else mpf_cosh_sinh
-    wp = F + e_bits + 8
+    # 22 bits past F and e**|z|; for J also the bits of |z|, which the
+    # reduction by pi/2 at P bits costs.
+    P = F + e_bits + 22 + (mag if trig else 0)
+    down, one_sq = P - F, 1 << 2 * P
     even, odd = [], []
-    for arg in [_mpf(man, exp)] + [_mpf(man * c, exp - bits) for c in nodes]:
-        f_even, f_odd = paired(arg, wp)
-        even.append(to_fixed(f_even, F))
-        odd.append(to_fixed(f_odd, F))
+    for x in [_shift(man, exp + P)] + [_shift(man * c, exp - bits + P) for c in nodes]:
+        if trig:
+            f_even, f_odd = cos_sin_fixed(x, P)
+        else:
+            # e**|x|, so that e**-|x| is a quotient, not a value that can
+            # underflow 2**-P
+            e = exp_fixed(abs(x), P)
+            inv = one_sq // e
+            f_even, f_odd = (e + inv) >> 1, (e - inv if x >= 0 else inv - e) >> 1
+        even.append(f_even >> down)
+        odd.append(f_odd >> down)
     if n == 0:
         return _shift(1, F) + even[0] + (sum(map(mul, rows[0], even[1:])) >> bits)
     # acc / z = (acc << lift) // den

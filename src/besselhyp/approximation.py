@@ -401,7 +401,7 @@ def _route(n: int, p: int, trig: bool) -> _Route:
         plan = _plan(n, p, trig)
     except OverflowError as exc:
         # w(n) / (2n-1)!!, the series' reach to the n-th power or a(n, q)
-        # beyond binary64: past about n = 140.  Checked once per (kind, n, p),
+        # beyond binary64: every n from 97.  Checked once per (kind, n, p),
         # never per point: the series takes only |z| below its reach, so
         # |z|**n fits wherever reach**n does.
         raise Binary64OverflowError(

@@ -208,7 +208,8 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
                         help="print error columns at full precision")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="besselhyp",
         description="Elementary-function approximants for integer-order "
@@ -266,20 +267,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p_ident)
     p_ident.set_defaults(func=cmd_identities)
 
-    return parser
+    return parser, sub.choices
 
 
 @cache
-def _shared_parser() -> argparse.ArgumentParser:
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process: parse_args keeps no state between calls, and
     # the build costs about a millisecond, more than a table row.
-    return build_parser()
+    return build_parsers()
+
+
+#: The second character of a token that is a value, not an option, when
+#: its first is "-": no option starts with "-" and a digit or a point.
+_VALUE_SECOND = frozenset("0123456789.")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    # argparse reads a token that starts with "-" as an option unless it is a
+    # lone negative number, so "-z -3,0" would leave -z without its value.
+    # Such a token after an option is that option's value, attached to it
+    # as "-z=-3,0".
+    out: list[str] = []
+    for arg in argv:
+        if (arg[:1] == "-" and arg[1:2] in _VALUE_SECOND and out
+                and out[-1][:1] == "-" and out[-1][1:2] not in _VALUE_SECOND
+                and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # By the subcommand's parser alone when argv[0] names one, else (no
+    # arguments, -h, an unknown command) by the full parser.
+    parser, subparsers = _shared_parser()
+    argv = _attach_negative_values(argv)
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

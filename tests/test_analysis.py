@@ -194,13 +194,19 @@ class TestFastTwins:
     def test_hp_approx_matches_mpf_within_its_floor(self, kind, p):
         # The fixed-point assembly against the same assembly in mpf: within
         # 10**-dps times the largest-term bound, the floor fit_error_slope
-        # relies on; for I also where cosh nears the top of binary64.
-        zs = self._FLOOR_ZS + ((700.0,) if kind == "I" else ())
-        for dps in (30, 80):
+        # relies on; for I also where cosh nears the top of binary64, on
+        # both sides, and for J where the reduction by pi/2 takes 17 bits of
+        # |z|.  dps 100 and 200 take mpmath's kernels past their table
+        # (cos/sin above 400 bits) and past their Taylor loop (exp above 600
+        # bits).  The mpf form rounds each argument c_k z to dps digits,
+        # which at |z| = 1e5 moves cos by 1e5 times the floor; it is taken
+        # 10 digits finer.
+        zs = self._FLOOR_ZS + ((700.0, -700.0) if kind == "I" else (1e5,))
+        for dps in (30, 80) + ((100, 200) if p <= 4 else ()):
             for n in range(4 * p):
                 for z in zs:
                     fast = hp_approx(kind, n, p, z, dps=dps)
-                    slow = hp_approx_mpf(kind, n, p, z, dps=dps)
+                    slow = hp_approx_mpf(kind, n, p, z, dps=dps + 10)
                     floor = mp.mpf(10) ** (_largest_term_digits(kind, n, p, z) - dps)
                     with mp.workdps(dps + 20):
                         assert abs(fast - slow) <= floor, (n, z, dps)
@@ -227,7 +233,8 @@ class TestFastTwins:
         assert _log_error("I", 0, 2, 0.0, 30) == -math.inf
 
     def test_hp_approx_takes_p_paired_transcendentals(self, monkeypatch):
-        # One cosh/sinh (cos/sin) pair per argument z, c_k z: p per sample.
+        # One fixed-point exp (cos/sin pair) per argument z, c_k z: p per
+        # sample.
         calls = []
 
         def counted(fn):
@@ -236,7 +243,7 @@ class TestFastTwins:
                 return fn(*args)
             return call
 
-        for name in ("mpf_cosh_sinh", "mpf_cos_sin"):
+        for name in ("exp_fixed", "cos_sin_fixed"):
             monkeypatch.setattr(analysis, name, counted(getattr(analysis, name)))
         for kind in ("I", "J"):
             for p in range(1, 9):

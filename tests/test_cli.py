@@ -303,6 +303,27 @@ class TestScaling:
         assert "dps" in err
 
 
+class TestPinnedSlopes:
+    """Exact scaling output: the README's slope, its J twin at 120 digits,
+    and one 8-sample call per kind at 100 digits."""
+
+    @pytest.mark.parametrize("argv,row", [
+        (("-n", "15", "-p", "4"), "I,15,4,0.1,0.5,16,15.0028,15"),
+        (("--kind", "J", "-n", "15", "-p", "4", "--dps", "120"),
+         "J,15,4,0.1,0.5,16,14.9972,15"),
+        (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
+          "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "100"),
+         "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
+        (("--kind", "J", "-n", "15", "-p", "4", "--z-min", "0.08856073356854736",
+          "--z-max", "0.5497377609163321", "--samples", "8", "--dps", "100"),
+         "J,15,4,0.08856073356854736,0.5497377609163321,8,14.9970,15"),
+    ])
+    def test_csv(self, capsys, argv, row):
+        code, out, err = run(capsys, "scaling", *argv)
+        assert code == EXIT_OK and err == ""
+        assert out == f"kind,n,p,z_min,z_max,samples,slope,expected\n{row}\n"
+
+
 class TestBench:
     def test_summary_row(self, capsys):
         code, out, _ = run(capsys, "bench", "-n", "0", "-p", "2",
@@ -356,6 +377,27 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("text", ["-3,0", "-3:3:3", "-.5,1"])
+    def test_negative_list_after_a_space(self, capsys, text):
+        # "-z -3,0" is not read as an option: the rows are those of "-z=-3,0".
+        spaced = run(capsys, "table", "-n", "1", "-z", text)
+        joined = run(capsys, "table", "-n", "1", f"-z={text}")
+        assert spaced[0] == joined[0] == EXIT_OK
+        assert mask_ns(spaced[1]) == mask_ns(joined[1])
+        zs = [float(row[3]) for row in csv_rows(spaced[1])]
+        assert zs == sorted(set(cli._parse_floats(text)))
+
+    def test_bench_negative_list(self, capsys):
+        code, out, _ = run(capsys, "bench", "-n", "1", "-p", "2", "-z", "-2,-1",
+                           "--repetitions", "2")
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("I,1,2,2,2,")
+
+    def test_unknown_argument_is_reported_by_the_subcommand(self, capsys):
+        code, out, err = run(capsys, "table", "-z", "1", "--bogus")
+        assert code == EXIT_USAGE and out == ""
+        assert "besselhyp table: error: unrecognized arguments: --bogus" in err
 
     def test_empty_value_list(self, capsys):
         code, _, _ = run(capsys, "table", "-z", ",")

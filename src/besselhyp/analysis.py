@@ -4,11 +4,11 @@ The production evaluators run in binary64.  Several properties of the
 construction live far below binary64 resolution: the leading error term
 scales like z**(4p-n) (like z**n once n > 2p), which already at p = 3
 and z = 0.1 sits around 1e-20, orders of magnitude under the rounding noise
-of the assembled kernels.  This module therefore re-evaluates the same formulas two other
-ways:
+of the assembled kernels.  This module therefore reaches them two other ways:
 
 * exact Maclaurin coefficients of the approximant from the exact node
-  power sums (a binomial sum, for every p), and
+  power sums (a binomial sum, for every p), and the closed form of the
+  error's first term (_leading_error), which sizes each error sample, and
 * arbitrary-precision evaluation of both the assembly and the reference
   series, each in fixed-point integers (_approx_fixed, _ref_fixed), for
   error measurements and log-log slope fits.  The assembly takes one call
@@ -36,7 +36,7 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_di
                           to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .approximation import _j_term_sign
+from .approximation import DomainError, _signed_expansion
 from .coefficients import derive_expansion
 
 
@@ -95,20 +95,33 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
 
 
 def first_mismatch_order(n: int, p: int) -> int:
-    """Lowest order whose approximant coefficient differs from the I_n series.
+    """Lowest order whose approximant coefficient differs from the I_n series:
+    max(4p - n, n), the order of the error's first term (_leading_error)."""
+    _check_order(n, p)
+    return _leading_error(n, p)[0]
 
-    The matched moments of the nodes predict 4p - n, and that is the answer
-    for n <= 2p.  For n > 2p every order below n matches as well (both
-    series vanish there), and the first mismatch is the leading z**n term:
-    the exact scan gives max(4p - n, n) for every n < 4p, p <= 8.  The scan
-    stops with an error a little beyond that, so a structurally broken build
-    cannot loop.
+
+@lru_cache(maxsize=None)
+def _leading_error(n: int, p: int) -> tuple[int, float]:
+    """(t, log10 c) of the first term c z**t of A_n(z) - I_n(z), 0 <= n < 4p.
+
+    The error is the series, with (-1)**k on each term for J,
+
+        A_n - I_n = 2 sum_k (z/2)**(n+2k) / k!
+                      * sum_{j>=1} (n+k)! / ((n+k-2pj)! (n+k+2pj)!):
+
+    the 4p-point trapezoidal mean w(m) of cos**(2m) exceeds its exact mean
+    C(2m, m) / 4**m by the aliased binomials 2 * 4**-m * sum_{j>=1}
+    C(2m, m - 2pj) (Trefethen & Weideman, SIAM Rev. 56, 2014).  The inner
+    sum first has a term at k0 = max(0, 2p - n), so t = n + 2 k0 =
+    max(4p - n, n), and c is the exact coefficient difference there.  For
+    I every term is positive, so c z**t is a lower bound on the error for
+    z > 0.  log10 c is read from the exact fraction, which no float holds
+    for large p.
     """
-    limit = max(4 * p - n, n) + 4
-    for t in range(limit + 1):
-        if approximant_series_coeff(n, p, t) != bessel_i_series_coeff(n, t):
-            return t
-    raise RuntimeError(f"no mismatch found up to order {limit} for (n={n}, p={p})")
+    t = max(4 * p - n, n)
+    c = approximant_series_coeff(n, p, t) - bessel_i_series_coeff(n, t)
+    return t, math.log10(c.numerator) - math.log10(c.denominator)
 
 
 #: Extra fraction bits of the fixed-point twins over the working precision;
@@ -125,8 +138,10 @@ def _check_kind(kind: str) -> None:
 
 
 def _check_order(n: int, p: int) -> None:
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
     if n >= 4 * p:
-        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
+        raise DomainError(f"order n={n} needs n < 4p = {4 * p}")
 
 
 def _check_dps(dps: int) -> None:
@@ -184,16 +199,6 @@ def _fixed_nodes(p: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, .
         rows.append(tuple((w + (1 << 31)) >> 32 for w in row))
         row = [w * c >> fine for w, c in zip(row, nodes)]
     return tuple((c + (1 << 31)) >> 32 for c in nodes), tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
-    # a(n, q) for q = 1..n, with the J sign of each term and the J factor
-    # (-1)**n on every one.
-    if not trig:
-        return derive_expansion(n)
-    return tuple((-1) ** n * _j_term_sign(q) * coeff
-                 for q, coeff in enumerate(derive_expansion(n), 1))
 
 
 def _approx_fixed(kind: str, n: int, p: int, z, F: int) -> int:
@@ -352,8 +357,6 @@ def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     """
     _check_kind(kind)
     _check_order(n, p)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
     _check_dps(dps)
     with mp.workdps(dps):
         zz = _finite_mpf(z)
@@ -404,20 +407,6 @@ def _is_noise(log_err: float, top: float, dps: int) -> bool:
     return log_err <= (top + _FLOOR_MARGIN_DIGITS - dps) * math.log(10)
 
 
-def _resolved_log_error(kind: str, n: int, p: int, z: float, dps: int) -> float | None:
-    """ln|error| at z, measured at ``dps`` digits or, where that is within
-    the margin of its rounding floor, at the first doubling of ``dps`` that
-    clears it; None if it is still noise at 16 times ``dps``."""
-    top = _largest_term_digits(kind, n, p, z)
-    work = dps
-    while work <= 16 * dps:
-        log_err = _log_error(kind, n, p, z, work)
-        if not _is_noise(log_err, top, work):
-            return log_err
-        work *= 2
-    return None
-
-
 def fit_error_slope(
     kind: str,
     n: int,
@@ -429,12 +418,14 @@ def fit_error_slope(
 ) -> float:
     """Least-squares slope of log|error| against log z on a geometric grid.
 
-    The construction predicts a slope of max(4p - n, n) from the leading
-    error term.  The assembly cancels near z = 0, so a sample's error is
-    measured only to 10**-dps times the assembly's largest term; ``dps`` is
-    therefore a floor: a sample whose error is within 1e3 of that rounding
-    floor is measured again at doubling digits until it clears it, and
-    ``ValueError`` is raised only if it is still noise at 16 times ``dps``.
+    The construction predicts the slope t of the error's first term c z**t
+    (_leading_error).  The assembly cancels near z = 0, so a sample's error
+    is measured only to 10**-dps times its largest term.  Each sample is
+    measured at the digits that put c |z|**t 1e6 above that rounding floor,
+    from ``dps`` up to a cap of 16 times ``dps``; the alternating J error
+    may sit below c |z|**t, so a sample still within 1e3 of the floor is
+    measured once more at the cap, and ``ValueError`` is raised if it is
+    noise there too.  The slope is fitted to the measured errors only.
     """
     _check_kind(kind)
     _check_order(n, p)
@@ -443,14 +434,21 @@ def fit_error_slope(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_dps(dps)
+    t, log_c = _leading_error(n, p)
     zs = _geometric_grid(z_lo, z_hi, samples)
     log_errs = []
     for z in zs:
-        log_err = _resolved_log_error(kind, n, p, z, dps)
-        if log_err is None:
+        top = _largest_term_digits(kind, n, p, z)
+        sized = math.ceil(top + 2 * _FLOOR_MARGIN_DIGITS - log_c - t * math.log10(z))
+        work = min(16 * dps, max(dps, sized))
+        log_err = _log_error(kind, n, p, z, work)
+        if _is_noise(log_err, top, work) and work < 16 * dps:
+            work = 16 * dps
+            log_err = _log_error(kind, n, p, z, work)
+        if _is_noise(log_err, top, work):
             raise ValueError(
-                f"the error at z={z} is within 1e3 of the rounding floor even at "
-                f"{16 * dps} digits; the fit needs more than --dps {16 * dps}")
+                f"the error at z={z} is not clear of the rounding floor by 1e3 within "
+                f"--dps {16 * dps}: its first term calls for {sized} digits")
         log_errs.append(log_err)
     return _least_squares_slope([math.log(z) for z in zs], log_errs)
 

@@ -166,6 +166,17 @@ def _j_term_sign(q: int) -> int:
     return -1 if q % 4 in (1, 2) else 1
 
 
+@lru_cache(maxsize=None)
+def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
+    # a(n, q) for q = 1..n.  For J, rotating z onto the imaginary axis gives
+    # term q the sign _j_term_sign(q) and the sum the factor (-1)**n, which
+    # rides on every coefficient because negation commutes with rounding.
+    if not trig:
+        return derive_expansion(n)
+    return tuple((-1) ** n * _j_term_sign(q) * coeff
+                 for q, coeff in enumerate(derive_expansion(n), 1))
+
+
 class _Plan(NamedTuple):
     """One coefficient list compiled against one node set.
 
@@ -205,12 +216,7 @@ def _compile(terms: Iterable[tuple[int, int]], p: int, *, trig: bool) -> _Plan:
 def _plan(n: int, p: int, trig: bool) -> _Plan:
     # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0;
     # _plan_value adds the constant 1.
-    terms = enumerate(derive_expansion(n), 1) if n else [(0, 1)]
-    if trig:
-        # Rotating z onto the imaginary axis gives the index-q term the sign
-        # _j_term_sign(q) and the whole sum the factor (-1)**n, which rides on
-        # every coefficient because negation commutes with rounding.
-        terms = [(q, (-1) ** n * _j_term_sign(q) * coeff) for q, coeff in terms]
+    terms = enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)]
     return _compile(terms, p, trig=trig)
 
 
@@ -279,8 +285,6 @@ def _rescaled_plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
     Only a transcendental that overflows itself, or a value beyond binary64,
     raises.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z!r}")
     run, odd, even, steps = plan
     m = math.frexp(len(steps) * max(_term_bounds(plan)))[1]
     scale = math.ldexp(1.0, -m)

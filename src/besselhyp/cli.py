@@ -115,17 +115,14 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
+    from .analysis import first_mismatch_order  # loads mpmath, as fit_error_slope does
     if not (0.0 < args.z_min < args.z_max <= 1.0):
         raise ValueError("scaling fit needs 0 < z-min < z-max <= 1")
     if args.samples < 8:
         raise ValueError(f"scaling fit needs >= 8 samples, got {args.samples}")
-    if args.n >= 4 * args.p:
-        raise DomainError(f"order n={args.n} needs n < 4p = {4 * args.p}")
     slope = fit_error_slope(args.kind, args.n, args.p, args.z_min, args.z_max,
                             args.samples, dps=args.dps)
-    # The approximant first departs from I_n at z**(4p - n), or at its own
-    # leading term z**n once n > 2p.
-    expected = max(4 * args.p - args.n, args.n)
+    expected = first_mismatch_order(args.n, args.p)
     if args.format == "json":
         print(json.dumps({
             "kind": args.kind, "n": args.n, "p": args.p,

@@ -213,7 +213,10 @@ def hp_approx_mpf(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     coefficients and mpmath nodes, and it loses digits to the same small-z
     cancellation as the binary64 plan: at (I, 31, 8, 0.3) and ``dps=120``
     it is off by 5.6e-7 relative to a ``dps=300`` evaluation.  Callers
-    must size ``dps`` for that loss on top of the digits they need.
+    must size ``dps`` for that loss on top of the digits they need.  Each
+    argument c_k z is rounded to ``dps`` digits, so the error also grows
+    like |z| 10**-dps: compared under the fixed-point twin's rounding floor
+    10**-dps times the largest term, it is taken at ``dps + 10``.
     sinh and cosh (sin and cos) are each taken once per argument z, c_k z,
     so a call costs at most 2p transcendentals; the kernels are summed from
     them and assembled by the same Horner recurrence as the per-term form.

@@ -13,6 +13,7 @@ from besselhyp.analysis import (
     _geometric_grid,
     _is_noise,
     _largest_term_digits,
+    _leading_error,
     _least_squares_slope,
     _log_error,
     approximant_series_coeff,
@@ -24,7 +25,7 @@ from besselhyp.analysis import (
     hp_ref,
     node_power_sum,
 )
-from besselhyp.approximation import _assemble
+from besselhyp.approximation import DomainError, _assemble
 from fixtures import hp_approx_mpf, hp_approx_per_term, hp_ref_mpf_loop
 
 
@@ -91,7 +92,43 @@ class TestSeriesCoefficients:
         cut = max(4 * p - n, n)
         for t in range(cut):
             assert approximant_series_coeff(n, p, t) == bessel_i_series_coeff(n, t)
+        assert approximant_series_coeff(n, p, cut) != bessel_i_series_coeff(n, cut)
         assert first_mismatch_order(n, p) == cut
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_leading_error_is_the_first_coefficient_difference(self, p):
+        # The order of the first nonzero coefficient of A_n - I_n, and its
+        # size, against the first term of the aliased-binomial error series:
+        # 2 S / (k0! 2**t), S = sum_j m! / ((m - 2pj)! (m + 2pj)!), m = n + k0.
+        for n in range(4 * p):
+            diffs = (approximant_series_coeff(n, p, t) - bessel_i_series_coeff(n, t)
+                     for t in range(4 * p + n + 1))
+            t, c = next((t, c) for t, c in enumerate(diffs) if c)
+            k0 = max(0, 2 * p - n)
+            m = n + k0
+            aliased = sum(Fraction(math.factorial(m),
+                                   math.factorial(m - 2 * p * j) * math.factorial(m + 2 * p * j))
+                          for j in range(1, m // (2 * p) + 1))
+            assert c == 2 * aliased / (math.factorial(k0) * 2**t), (n, p)
+            lead_t, log_c = _leading_error(n, p)
+            assert lead_t == t == n + 2 * k0, (n, p)
+            assert log_c == pytest.approx(math.log10(c.numerator) - math.log10(c.denominator),
+                                          rel=0, abs=1e-12), (n, p)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_hyperbolic_error_is_at_least_its_first_term(self, p):
+        # Every term of the I error series is positive, so for z > 0 the
+        # measured error is at least its first term c z**t, here with c the
+        # exact coefficient difference and the digits 10 past the floor.
+        for n in range(4 * p):
+            t = first_mismatch_order(n, p)
+            c = approximant_series_coeff(n, p, t) - bessel_i_series_coeff(n, t)
+            for z in (0.05, 0.2, 1.0):
+                lead = math.log10(c.numerator) - math.log10(c.denominator) + t * math.log10(z)
+                dps = math.ceil(_largest_term_digits("I", n, p, z) - lead) + 10
+                with mp.workdps(dps):
+                    first = mp.mpf(c.numerator) / c.denominator * mp.mpf(z) ** t
+                    assert hp_error("I", n, p, z, dps=dps) >= first, (n, z)
 
 
 class TestHighPrecisionTwins:
@@ -118,6 +155,22 @@ class TestHighPrecisionTwins:
             hp_approx("I", 4, 1, 1.0)
         with pytest.raises(ValueError):
             hp_ref("K", 0, 1.0)
+        # Orders outside 0 <= n < 4p, at z = 0 as anywhere else; 4p and past
+        # it is the approximant's domain.
+        for fn in (hp_approx, hp_error):
+            for z in (0.0, 0.5):
+                with pytest.raises(ValueError, match="order must be >= 0"):
+                    fn("I", -1, 2, z)
+                with pytest.raises(DomainError, match="n < 4p = 8"):
+                    fn("I", 8, 2, z)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            fit_error_slope("I", -1, 2)
+        with pytest.raises(DomainError, match="n < 4p = 8"):
+            fit_error_slope("I", 8, 2)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            first_mismatch_order(-1, 2)
+        with pytest.raises(DomainError, match="n < 4p = 8"):
+            first_mismatch_order(8, 2)
 
     @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_argument_raises(self, z):
@@ -283,8 +336,38 @@ class TestSlopeFit:
         # The fit through points off a line: slope of (0, 0), (1, 1), (2, 3).
         assert _least_squares_slope([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]) == pytest.approx(1.5, rel=1e-15)
 
+    def test_one_measurement_per_sample(self, monkeypatch):
+        # The digits are sized from the error's first term, so no sample is
+        # measured twice, here where --dps 50 alone would be noise.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _log_error(*args)
+
+        monkeypatch.setattr(analysis, "_log_error", counted)
+        slope = fit_error_slope("I", 15, 4, dps=50)
+        assert len(calls) == 16
+        assert slope == pytest.approx(15.0, abs=0.01)
+
+    def test_alternating_error_below_its_first_term_is_measured_at_the_cap(self, monkeypatch):
+        # Past |z| of about 8 the J error falls far below c |z|**t, so some
+        # samples sized from it are noise; each of those is measured once
+        # more at 16 times dps, which resolves it.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _log_error(*args)
+
+        monkeypatch.setattr(analysis, "_log_error", counted)
+        slope = fit_error_slope("J", 0, 1, 2.0, 30.0, samples=40, dps=3)
+        assert 40 < len(calls) <= 80
+        assert {args[-1] for args in calls} >= {48}
+        assert slope == pytest.approx(0.2615, abs=1e-4)
+
     def test_zero_error_names_dps(self):
-        # The (0, 8) error, below 1e-70, is exactly zero at 2 digits and at
-        # every doubling of them up to 32.
+        # The (0, 8) error, below 1e-70, calls for more digits than 16 times
+        # 2; at the cap of 32 it is exactly zero.
         with pytest.raises(ValueError, match="--dps 32"):
             fit_error_slope("I", 0, 8, 0.1, 0.5, samples=8, dps=2)

@@ -264,17 +264,22 @@ class TestScaling:
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--samples", "4")
         assert code == EXIT_USAGE
 
+    def test_order_at_4p_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "scaling", "-n", "8", "-p", "2")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == "domain error: order n=8 needs n < 4p = 8\n"
+
     def test_too_few_digits_is_usage_error(self, capsys):
-        # The (0, 8) error, below 1e-70, is exactly zero at every doubling
-        # of 2 digits up to 32.
+        # The (0, 8) error, below 1e-70, calls for more digits than 16 times
+        # 2; at the cap of 32 it is exactly zero.
         code, out, err = run(capsys, "scaling", "-n", "0", "-p", "8", "--dps", "2")
         assert code == EXIT_USAGE
         assert out == ""
         assert "--dps 32" in err and "Traceback" not in err
 
     def test_error_under_the_rounding_floor_is_usage_error(self, capsys):
-        # The (15, 4) assembly cancels about 60 digits; at 1 digit, doubled
-        # up to 16, what is left is rounding noise, not the error.
+        # The (15, 4) assembly cancels about 60 digits; at the cap of 16
+        # times 1 digit, what is left is rounding noise, not the error.
         code, out, err = run(capsys, "scaling", "-n", "15", "-p", "4", "--dps", "1")
         assert code == EXIT_USAGE
         assert out == "" and "Traceback" not in err
@@ -282,8 +287,8 @@ class TestScaling:
 
     @pytest.mark.parametrize("n,p,dps,resolved", [(15, 4, "50", "66"), (0, 1, "5", "40")])
     def test_digits_below_the_floor_are_raised(self, capsys, n, p, dps, resolved):
-        # --dps is a floor: a sample whose error is rounding noise at dps
-        # digits is measured again at the first doubling that resolves it,
+        # --dps is a floor: a sample whose error would be rounding noise at
+        # dps digits is measured at the digits sized from its first term,
         # and the fit equals the one at digits that resolve every sample.
         def slope(digits):
             code, out, _ = run(capsys, "scaling", "-n", str(n), "-p", str(p),

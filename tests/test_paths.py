@@ -21,6 +21,7 @@ from besselhyp.approximation import (
     _multiplication_coeffs,
     _node_sum,
     _node_terms,
+    _plan,
     _series,
     _spherical_j,
     _sum_series,
@@ -68,6 +69,24 @@ def test_every_order_and_argument(kind, p):
 @pytest.mark.parametrize("p", range(1, 9))
 def test_hyperbolic_near_the_overflow_edge(p):
     assert _misses("I", p, ZS_EDGE) == []
+
+
+@pytest.mark.parametrize("p,z", [(40, 709.78), (40, 710.0), (40, -710.0), (40, 710.4),
+                                 (20, 710.3)])
+def test_order0_rescaled_near_the_overflow_edge(p, z):
+    # The kernel sum cosh z + 2 sum_k cosh(c_k z) passes binary64 while
+    # A_0, about 3e306, fits: the plan runs again scaled, constant included.
+    # The reference is the averaged cosh itself, since the per-term kernel
+    # sums overflow as the plan does.
+    plan = _plan(0, p, False)
+    assert plan.run(z, plan.odd, plan.even, plan.steps) == math.inf
+    got = evaluate(ApproxRequest("I", 0, p, z))
+    with mp.workdps(50):
+        zz = mp.mpf(z)
+        kernel = mp.cosh(zz) + 2 * mp.fsum(mp.cosh(mp.cos(mp.pi * k / (2 * p)) * zz)
+                                           for k in range(1, p))
+        want = (1 + kernel) / (2 * p)
+        assert math.isfinite(got) and abs(got - want) <= TOL * want
 
 
 @pytest.mark.parametrize("p", range(1, 9))

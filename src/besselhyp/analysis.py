@@ -36,7 +36,7 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_di
                           to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .approximation import DomainError, _signed_expansion
+from .approximation import DomainError, _require_int, _signed_expansion
 from .coefficients import derive_expansion
 
 
@@ -138,6 +138,8 @@ def _check_kind(kind: str) -> None:
 
 
 def _check_order(n: int, p: int) -> None:
+    _require_int("order n", n)
+    _require_int("accuracy parameter p", p)
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     if n >= 4 * p:
@@ -337,6 +339,7 @@ def hp_ref(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
     not converged after ``_REF_MAX_TERMS`` terms raises ``ValueError``.
     """
     _check_kind(kind)
+    _require_int("order n", n)
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     _check_dps(dps)

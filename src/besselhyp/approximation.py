@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -73,9 +74,9 @@ class Binary64OverflowError(DomainError, OverflowError):
     Raised where sinh/cosh themselves overflow, for I above about
     |z| = 710.48, or where the value itself does; and for every argument of
     an order whose series or plan coefficients do not fit in binary64.
-    Every order from n = 97 is one: the power z**n at the series' reach
-    |z| = n**2/6 passes 1e308 there.  It is also an OverflowError, which is
-    what the hyperbolic functions themselves raise.
+    Every order from n = 109 is one: the power z**n at the series' reach,
+    the edge of cosh |z| = 710.48 there, passes 1e308.  It is also an
+    OverflowError, which is what the hyperbolic functions themselves raise.
     """
 
 
@@ -312,32 +313,27 @@ _SERIES_TOL = 2.0 ** -54
 #: with sum|t| / |sum t| above it, or a J plan whose Horner bound exceeds it
 #: times the result, gives way to the next path.
 _COND_MAX = 1e3
-#: The series is not chosen for its cost beyond this |z|, which bounds the
-#: terms kept per (n, p); above it I takes the plan once |z| >= n**2 / 6.
+#: The series is not chosen for its cost beyond this |z|, the range the
+#: term-count model (_series_count) was fitted on.
 _SERIES_Z_MAX = 40.0
-#: Most terms a series runs, and how far the cached weights reach past 4p.
-_SERIES_TERMS_MAX = 192
+#: The edge of cosh, about 710.48: I takes no series past it, so its
+#: positive terms, each below their sum, never reach inf.
+_COSH_EDGE = math.acosh(sys.float_info.max)
 
 
-@lru_cache(maxsize=None)
-def _trapezoid_weights(p: int) -> tuple[float, ...]:
-    # w(m) = (1 + 2 sum_k c_k**(2m)) / (2p), the 4p-point trapezoidal mean of
-    # cos**(2m), from running node powers; w(0) = 1 because the order-0
-    # approximant adds its constant 1 on top of the kernel.
-    squares = [c * c for c in make_nodes(p)]
-    powers = [1.0] * len(squares)
-    weights = [1.0]
-    for _ in range(4 * p + _SERIES_TERMS_MAX):
-        powers = [a * b for a, b in zip(powers, squares)]
-        weights.append((1.0 + 2.0 * sum(powers)) / (2 * p))
-    return tuple(weights)
+def _series_count(reach: float) -> int:
+    # The term-count model: the I series takes 3 + 4.9 sqrt|z| + |z|/2 terms,
+    # growing up to k of about |z|/2 and then falling like a Gaussian of width
+    # sqrt|z|: within two of the counts for n = 0 up to |z| = 40, above them
+    # up to the edge of cosh, and larger n need fewer.  A table keeps the
+    # count at I's threshold, rounded up to even, and ten more for J's sum.
+    count = math.ceil(3.0 + 4.9 * math.sqrt(reach) + 0.5 * reach)
+    return count + count % 2 + 10
 
 
 def _crossover(n: int, p: int) -> float:
-    # Largest |z| at which the series needs at most 1.2 n p terms, about the
-    # cost of the plan's n kernel terms over p arguments.  The term count
-    # 3 + 4.9 sqrt|z| + |z|/2 is within two of the counts for n = 0 up to
-    # |z| = 40; larger n need fewer.
+    # The model's inverse: the |z| at which the series takes 1.2 n p terms,
+    # about the cost of the plan's n kernel terms over p arguments.
     budget = 1.2 * n * p - 3.0
     if budget <= 0:
         return 0.0
@@ -346,47 +342,50 @@ def _crossover(n: int, p: int) -> float:
 
 
 def _series_reach(n: int, p: int) -> float:
-    # |z| below which I takes the series: where it is cheaper, and always
-    # where the plan's Rayleigh sums for i_{n-1} cancel by more than
-    # _COND_MAX, which is below about 0.14 n**2.
-    return max(n * n / 6.0, min(_crossover(n, p), _SERIES_Z_MAX))
+    # |z| below which I takes the series: where it is cheaper, below the
+    # forced-series threshold, and where the plan's Rayleigh sums for i_{n-1}
+    # cancel by more than _COND_MAX (below about 0.14 n**2); at most the edge
+    # of cosh.
+    reach = max(n * n / 6.0, min(_crossover(n, p), _SERIES_Z_MAX), _forced_series_below(n))
+    return min(reach, _COSH_EDGE)
+
+
+@lru_cache(maxsize=None)
+def _trapezoid_weights(p: int) -> tuple[float, ...]:
+    # w(m) = (1 + 2 sum_k c_k**(2m)) / (2p), the 4p-point trapezoidal mean of
+    # cos**(2m), from running node powers; w(0) = 1 because the order-0
+    # approximant adds its constant 1 on top of the kernel.  As many as the
+    # longest table of this p, that of n = 4p - 1, reads.
+    squares = [c * c for c in make_nodes(p)]
+    powers = [1.0] * len(squares)
+    weights = [1.0]
+    for _ in range(4 * p - 1 + _series_count(_series_reach(4 * p - 1, p))):
+        powers = [a * b for a, b in zip(powers, squares)]
+        weights.append((1.0 + 2.0 * sum(powers)) / (2 * p))
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
 def _series(n: int, p: int) -> tuple[float, tuple[float, ...]]:
     """Leading coefficient w(n) / (2n-1)!! and the term ratios
-    w(n+k+1) / w(n+k) / (2 (k+1) (2n+2k+1)), an even number of them: as many
-    as the positive series takes at the reach of I, and eight more for the
-    alternating one, which stops on a smaller sum."""
+    w(n+k+1) / w(n+k) / (2 (k+1) (2n+2k+1)), as many as _series_count gives
+    at the reach of I."""
     w = _trapezoid_weights(p)
-
-    def ratio(k: int) -> float:
-        return w[n + k + 1] / w[n + k] / (2 * (k + 1) * (2 * n + 2 * k + 1))
-
-    lead = w[n] / double_factorial(2 * n - 1)
-    reach = _series_reach(n, p)
-    x = reach * reach
-    term = total = lead * reach**n
-    ratios: list[float] = []
-    while len(ratios) < _SERIES_TERMS_MAX and term > _SERIES_TOL * total:
-        ratios.append(ratio(len(ratios)))
-        term *= x * ratios[-1]
-        total += term
-    count = min(len(ratios) + 8 + len(ratios) % 2, _SERIES_TERMS_MAX)
-    ratios += [ratio(k) for k in range(len(ratios), count)]
-    return lead, tuple(ratios)
+    ratios = tuple(w[n + k + 1] / w[n + k] / (2 * (k + 1) * (2 * n + 2 * k + 1))
+                   for k in range(_series_count(_series_reach(n, p))))
+    return w[n] / double_factorial(2 * n - 1), ratios
 
 
 class _Route(NamedTuple):
     """How one (kind, n, p) evaluates a point.
 
     The series takes |z| below ``series_below``, at least the forced-series
-    threshold 0.25 (n + 1), from ``lead`` and
-    ``ratios`` (see _series), and ``plan`` the rest.  For J with n >= 2,
-    ``bound`` holds |a(n, q)| (1 + sum_k 2 c_k**q) in plan order, whose
-    Horner sum in 1/|z| bounds the plan's terms; the plan is tried while
-    that bound is at most ``reach`` and kept while it is at most ``limit``
-    = _COND_MAX 2p times the result.
+    threshold 0.25 (n + 1), from ``lead`` and ``ratios`` (see _series), and
+    ``plan`` the rest.  For J with n >= 2, ``bound`` holds |a(n, q)|
+    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z| bounds
+    the plan's terms; the plan is tried while that bound is at most
+    ``reach`` and kept while it is at most ``limit`` = _COND_MAX 2p times
+    the result.
     """
 
     series_below: float
@@ -400,20 +399,21 @@ class _Route(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _route(n: int, p: int, trig: bool) -> _Route:
+    series_reach = _series_reach(n, p)
     try:
         lead, ratios = _series(n, p)
+        lead * series_reach**n  # the series' first term at its reach
         plan = _plan(n, p, trig)
     except OverflowError as exc:
-        # w(n) / (2n-1)!!, the series' reach to the n-th power or a(n, q)
-        # beyond binary64: every n from 97.  Checked once per (kind, n, p),
-        # never per point: the series takes only |z| below its reach, so
-        # |z|**n fits wherever reach**n does.
+        # w(n) / (2n-1)!!, a(n, q) or the series' first term at its reach
+        # beyond binary64: every n from 109, whose reach is the edge of cosh.
+        # Checked once per (kind, n, p), never per point: the series takes
+        # only |z| below its reach, so |z|**n fits wherever reach**n does.
         raise Binary64OverflowError(
             f"order n={n} at p={p} needs coefficients beyond binary64 range"
         ) from exc
     if not trig:
-        below = max(_series_reach(n, p), _forced_series_below(n))
-        return _Route(below, lead, ratios, plan, (), 0.0, 0.0)
+        return _Route(series_reach, lead, ratios, plan, (), 0.0, 0.0)
     # The alternating series is well-conditioned below the forced-series
     # threshold and cancels by about _COND_MAX near |z| = 6 + 0.45 n.
     below = min(max(_crossover(n, p), _forced_series_below(n)), 6.0 + 0.45 * n)

@@ -199,10 +199,12 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+def _add_format_flags(parser: argparse.ArgumentParser, *, full: bool = False) -> None:
+    # --full only where rows carry error columns: eval and table.
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--full", action="store_true",
-                        help="print error columns at full precision")
+    if full:
+        parser.add_argument("--full", action="store_true",
+                            help="print error columns at full precision")
 
 
 def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -219,7 +221,7 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_eval.add_argument("-n", type=int, required=True, help="order")
     p_eval.add_argument("-p", type=int, required=True, help="accuracy parameter")
     p_eval.add_argument("-z", type=float, required=True, help="argument")
-    _add_format_flags(p_eval)
+    _add_format_flags(p_eval, full=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_table = sub.add_parser("table", help="error table over an (n, z) grid")
@@ -228,7 +230,7 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_table.add_argument("-p", type=int, default=2)
     p_table.add_argument("-z", default="1,2,3,4",
                          help="comma list or a:b:steps range")
-    _add_format_flags(p_table)
+    _add_format_flags(p_table, full=True)
     p_table.set_defaults(func=cmd_table)
 
     p_coeffs = sub.add_parser("coeffs", help="dump exact expansion coefficients")

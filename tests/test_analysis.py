@@ -77,6 +77,9 @@ class TestSeriesCoefficients:
         assert bessel_i_series_coeff(3, 3) == Fraction(1, 48)
         assert bessel_i_series_coeff(3, 2) == 0
         assert bessel_i_series_coeff(2, 1) == 0
+        for n, t in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="n >= 0 and t >= 0"):
+                bessel_i_series_coeff(n, t)
 
     def test_approximant_spot_values(self):
         assert approximant_series_coeff(0, 2, 0) == 1
@@ -84,6 +87,9 @@ class TestSeriesCoefficients:
         assert approximant_series_coeff(1, 2, 3) == Fraction(1, 16)
         # Low orders below n cancel exactly.
         assert approximant_series_coeff(3, 2, 1) == 0
+        for n, t in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="n >= 0 and t >= 0"):
+                approximant_series_coeff(n, 2, t)
 
     @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])
     def test_first_mismatch(self, n, p):
@@ -144,6 +150,14 @@ class TestHighPrecisionTwins:
     def test_hp_ref_matches_binary64(self, kind, fn, n, z):
         assert fn(n, z) == pytest.approx(float(hp_ref(kind, n, z, dps=40)), rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    def test_hp_approx_at_zero(self, kind):
+        # The order-0 constant is the only term left at z = 0; every n >= 2
+        # is zero there, without a division by the zero mantissa.
+        assert hp_approx(kind, 0, 2, 0.0) == 1
+        for n in (2, 3, 7):
+            assert hp_approx(kind, n, 2, 0.0) == 0
+
     def test_hp_error_sign(self):
         # Hyperbolic-side construction error is positive for z > 0.
         assert hp_error("I", 1, 2, 0.3, dps=40) > 0
@@ -171,6 +185,16 @@ class TestHighPrecisionTwins:
             first_mismatch_order(-1, 2)
         with pytest.raises(DomainError, match="n < 4p = 8"):
             first_mismatch_order(8, 2)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            hp_ref("I", -1, 1.0)
+        # Orders and parameters are ints, as ApproxRequest takes them: not a
+        # float, and not a bool.
+        for call in (lambda: hp_approx("I", 2.0, 2, 0.5), lambda: hp_approx("I", True, 2, 0.5),
+                     lambda: hp_approx("I", 2, 2.0, 0.5), lambda: hp_error("J", 2.0, 2, 0.5),
+                     lambda: hp_ref("I", 1.5, 1.0), lambda: hp_ref("J", False, 1.0),
+                     lambda: first_mismatch_order(2.0, 2), lambda: fit_error_slope("I", 2.0, 2)):
+            with pytest.raises(TypeError, match="must be an int"):
+                call()
 
     @pytest.mark.parametrize("z", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_argument_raises(self, z):

@@ -131,6 +131,16 @@ class TestTable:
         assert len(rows) == 40
         assert float(rows[-1][3]) == 30.0
 
+    def test_single_step_range_is_its_start(self, capsys):
+        code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1:2:1")
+        assert code == EXIT_OK
+        assert [(r[1], float(r[3])) for r in csv_rows(out)] == [("0", 1.0), ("1", 1.0)]
+
+    @pytest.mark.parametrize("grid", [("-z", "1:2:0"), ("-n", ",")])
+    def test_empty_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "table", *grid)
+        assert code == EXIT_USAGE and out == "" and "argument error" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1,2", "--format", "json")
         assert code == EXIT_OK
@@ -259,6 +269,12 @@ class TestScaling:
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--z-max", "2")
         assert code == EXIT_USAGE
+
+    def test_full_is_no_scaling_option(self, capsys):
+        # --full sets the precision of error columns, which scaling has not.
+        code, out, err = run(capsys, "scaling", "-n", "3", "-p", "2", "--full")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --full" in err
 
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--samples", "4")

@@ -22,7 +22,9 @@ from besselhyp.approximation import (
     _node_sum,
     _node_terms,
     _plan,
+    _route,
     _series,
+    _series_reach,
     _spherical_j,
     _sum_series,
     _trapezoid_weights,
@@ -171,6 +173,45 @@ def test_eps_forces_the_series_but_not_a_wrong_value(n, p):
             want, scale = spherical_approximant(kind, n, p, z)
             assert abs(got - want) <= TOL * max(abs(want), scale), (kind, z)
         assert _sum_series(lead, ratios, n, 24.0, True) is None
+
+
+def test_every_hyperbolic_table_reaches_its_threshold():
+    # Just below I's threshold, its route's series_below, every table holds
+    # the whole series: below it the plan would cancel, and a table that ran
+    # out would hand the point to it.  The routes are checked through their
+    # parts, which cost no plan.
+    assert _route(96, 25, False)[:3] == (_series_reach(96, 25), *_series(96, 25))
+    short = []
+    for p in range(1, 33):
+        for n in range(min(4 * p, 109)):
+            az = math.nextafter(_series_reach(n, p), 0.0)
+            if _sum_series(*_series(n, p), n, az, False) is None:
+                short.append((n, p))
+    assert short == []
+
+
+@pytest.mark.parametrize("n", [56, 64, 80, 96, 97, 108])
+def test_high_orders_far_out(n):
+    # Orders whose I series reaches past |z| = 40, up to the last order
+    # whose first term at the edge of cosh fits in binary64.
+    misses = []
+    for p in (n // 4 + 1, 2 * (n // 4 + 1)):
+        for kind in "IJ":
+            for z in (170.0, 230.0, 300.0, 520.0, 705.0):
+                got = evaluate(ApproxRequest(kind, n, p, z))
+                want, scale = spherical_approximant(kind, n, p, z)
+                err = abs(got - want)
+                if err > TOL * abs(want) and err > TOL * scale:
+                    misses.append((kind, p, z, float(err / abs(want))))
+    assert misses == []
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+def test_last_order_in_binary64(kind):
+    # 710.48**108 fits in binary64 and 710.48**109 does not.
+    assert math.isfinite(evaluate(ApproxRequest(kind, 108, 28, 10.0)))
+    with pytest.raises(Binary64OverflowError, match="beyond binary64"):
+        evaluate(ApproxRequest(kind, 109, 28, 10.0))
 
 
 def test_forced_series_far_out_gives_way():

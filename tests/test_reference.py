@@ -190,8 +190,9 @@ class TestIdentities:
             identity_residual("N16", 1.0)
 
     def test_missing_p(self):
-        with pytest.raises(ValueError):
-            identity_residual("N4P", 1.0)
+        for tag in ("N4P", "J4P"):
+            with pytest.raises(ValueError, match=f"identity {tag} needs"):
+                identity_residual(tag, 1.0)
 
     def test_tags_constant(self):
         assert set(IDENTITY_TAGS) == {"N2", "N4", "N8", "N4P", "J4P"}

@@ -137,11 +137,15 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
 
 
-def _check_order(n: int, p: int) -> None:
+def _check_n(n: int) -> None:
     _require_int("order n", n)
-    _require_int("accuracy parameter p", p)
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
+
+
+def _check_order(n: int, p: int) -> None:
+    _check_n(n)
+    _require_int("accuracy parameter p", p)
     if n >= 4 * p:
         raise DomainError(f"order n={n} needs n < 4p = {4 * p}")
 
@@ -339,9 +343,7 @@ def hp_ref(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
     not converged after ``_REF_MAX_TERMS`` terms raises ``ValueError``.
     """
     _check_kind(kind)
-    _require_int("order n", n)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
+    _check_n(n)
     _check_dps(dps)
     with mp.workdps(dps):
         zz = _finite_mpf(z)

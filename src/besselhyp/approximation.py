@@ -23,8 +23,9 @@ approximant is the spherical-Bessel node sum
 
 whose Maclaurin series is sum_k (+-)**k w(n+k) z**(n+2k) / (2**k k! (2n+2k-1)!!),
 with w(m) the 4p-point trapezoidal mean of cos**(2m) (and w(0) = 1 for the
-order-0 constant).  Each point is evaluated by the cheapest of three paths
-that is well-conditioned there:
+order-0 constant), computed from its aliased-binomial identity in exact
+integers and correctly rounded (_trapezoid_weights).  Each point is
+evaluated by the cheapest of three paths that is well-conditioned there:
 
 * the series, summed by term ratios: positive for I, alternating for J and
   accepted only while its condition number sum|t| / |sum t| stays small;
@@ -152,8 +153,9 @@ def make_nodes(p: int) -> tuple[float, ...]:
 
 
 def _node_power(c: float, q: int) -> float:
-    # Repeated multiplication; q never exceeds the expansion order, so
-    # there is no accuracy concern.
+    # Repeated multiplication: q roundings, a relative error of at most about
+    # q u, the size of what rounding c itself to binary64 already puts on
+    # c**q.  The plan asks for q <= n, the node sum (_node_terms) for n + 1.
     w = 1.0
     for _ in range(q):
         w *= c
@@ -344,24 +346,32 @@ def _crossover(n: int, p: int) -> float:
 def _series_reach(n: int, p: int) -> float:
     # |z| below which I takes the series: where it is cheaper, below the
     # forced-series threshold, and where the plan's Rayleigh sums for i_{n-1}
-    # cancel by more than _COND_MAX (below about 0.14 n**2); at most the edge
-    # of cosh.
+    # cancel by more than _COND_MAX (below about 0.14 n**2); up to and
+    # including the edge of cosh, where the plan cancels too for large n.
     reach = max(n * n / 6.0, min(_crossover(n, p), _SERIES_Z_MAX), _forced_series_below(n))
-    return min(reach, _COSH_EDGE)
+    return min(reach, math.nextafter(_COSH_EDGE, math.inf))
 
 
 @lru_cache(maxsize=None)
 def _trapezoid_weights(p: int) -> tuple[float, ...]:
-    # w(m) = (1 + 2 sum_k c_k**(2m)) / (2p), the 4p-point trapezoidal mean of
-    # cos**(2m), from running node powers; w(0) = 1 because the order-0
+    # w(m), the 4p-point trapezoidal mean of cos**(2m), exceeds the exact
+    # mean C(2m, m) / 4**m by the aliased binomials (Trefethen & Weideman,
+    # SIAM Rev. 56, 2014): 4**m w(m) = C(2m, m) + 2 sum_{j>=1} C(2m, m - 2pj).
+    # Each binomial is an int carried from m - 1 by its exact ratio, the
+    # column of d = 2pj starting at m = d as C(2d, 0) = 1, and each entry is
+    # one correctly rounded int/int division.  w(0) = 1 because the order-0
     # approximant adds its constant 1 on top of the kernel.  As many as the
     # longest table of this p, that of n = 4p - 1, reads.
-    squares = [c * c for c in make_nodes(p)]
-    powers = [1.0] * len(squares)
+    central = 1  # C(2m, m)
+    aliased: dict[int, int] = {}  # d -> C(2m, m - d)
     weights = [1.0]
-    for _ in range(4 * p - 1 + _series_count(_series_reach(4 * p - 1, p))):
-        powers = [a * b for a, b in zip(powers, squares)]
-        weights.append((1.0 + 2.0 * sum(powers)) / (2 * p))
+    for m in range(1, 4 * p + _series_count(_series_reach(4 * p - 1, p))):
+        central = central * (4 * m - 2) // m
+        aliased = {d: c * ((4 * m - 2) * m) // ((m - d) * (m + d))
+                   for d, c in aliased.items()}
+        if m % (2 * p) == 0:
+            aliased[m] = 1
+        weights.append((central + 2 * sum(aliased.values())) / (1 << 2 * m))
     return tuple(weights)
 
 

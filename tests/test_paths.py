@@ -9,13 +9,17 @@ half-integer Bessel functions, so it shares nothing with the package.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from besselhyp import ApproxRequest, Binary64OverflowError, evaluate
-from besselhyp.analysis import approximant_series_coeff
+from besselhyp.analysis import approximant_series_coeff, node_power_sum
 from besselhyp.approximation import (
+    _COSH_EDGE,
     _group,
     _group_sum,
     _multiplication_coeffs,
@@ -28,6 +32,7 @@ from besselhyp.approximation import (
     _spherical_j,
     _sum_series,
     _trapezoid_weights,
+    make_nodes,
 )
 from besselhyp.coefficients import double_factorial
 from fixtures import spherical_approximant
@@ -44,6 +49,10 @@ ZS_EDGE = (650.0, 700.0, 709.0, 710.4)
 ZS_FAR = (47.0, 91.0, 240.0, 700.0, 1500.0)
 
 
+def _close(err, want, scale):
+    return err <= TOL * max(abs(want), scale)
+
+
 def _misses(kind, p, zs):
     misses = []
     for n in range(4 * p):
@@ -56,8 +65,7 @@ def _misses(kind, p, zs):
                 misses.append((n, z, "overflow"))
                 continue
             want, scale = spherical_approximant(kind, n, p, z)
-            err = abs(got - want)
-            if err > TOL * abs(want) and err > TOL * scale:
+            if not _close(abs(got - want), want, scale):
                 misses.append((n, z, got, float(want)))
     return misses
 
@@ -91,19 +99,36 @@ def test_order0_rescaled_near_the_overflow_edge(p, z):
         assert math.isfinite(got) and abs(got - want) <= TOL * want
 
 
+def _unrounded_weights(p, ms):
+    # The m >= 1 whose float weight is not w(m) = P(2m) / 2p, from the exact
+    # node power sum, correctly rounded.
+    w = _trapezoid_weights(p)
+    return [m for m in ms if w[m] != float(node_power_sum(p, 2 * m) / (2 * p))]
+
+
 @pytest.mark.parametrize("p", range(1, 9))
 def test_weights_match_the_exact_series(p):
-    # The float weights w(m), through the series coefficients they give,
-    # against the exact Maclaurin coefficients of the kernel assembly:
-    # the z**(n+2k) coefficient is w(n+k) / (2**k k! (2n+2k-1)!!), and at
+    # Every float weight w(m) is the exact trapezoidal mean correctly
+    # rounded.  Through the series coefficients they give, the weights also
+    # match the exact Maclaurin coefficients of the kernel assembly: the
+    # z**(n+2k) coefficient is w(n+k) / (2**k k! (2n+2k-1)!!), and at
     # n = k = 0 it is w(0) = 1, the order-0 constant included.
     w = _trapezoid_weights(p)
     assert w[0] == 1.0
+    assert _unrounded_weights(p, range(1, len(w))) == []
     for n in range(4 * p):
         for k in range(6):
             exact = approximant_series_coeff(n, p, n + 2 * k)
             weight = exact * 2**k * math.factorial(k) * double_factorial(2 * n + 2 * k - 1)
             assert w[n + k] == pytest.approx(float(weight), rel=1e-15, abs=0), (n, k)
+
+
+@pytest.mark.parametrize("p", [40, 2000])
+def test_weights_correctly_rounded_at_large_p(p):
+    # About 40 entries, both ends included, of tables far longer than the
+    # grid's (8500 entries at p = 2000).
+    last = len(_trapezoid_weights(p)) - 1
+    assert _unrounded_weights(p, sorted({1, last, *range(1, last, last // 38)})) == []
 
 
 def _spherical_j_mp(m, x):
@@ -153,7 +178,7 @@ def test_node_sum_far_past_the_grid(p):
         for z in ZS_FAR:
             want, scale = spherical_approximant("J", n, p, z)
             err = abs(_node_sum(n, p, z) - want)
-            if err > TOL * abs(want) and err > TOL * scale:
+            if not _close(err, want, scale):
                 misses.append((n, z, float(err / scale)))
     assert misses == []
 
@@ -201,7 +226,7 @@ def test_high_orders_far_out(n):
                 got = evaluate(ApproxRequest(kind, n, p, z))
                 want, scale = spherical_approximant(kind, n, p, z)
                 err = abs(got - want)
-                if err > TOL * abs(want) and err > TOL * scale:
+                if not _close(err, want, scale):
                     misses.append((kind, p, z, float(err / abs(want))))
     assert misses == []
 
@@ -212,6 +237,82 @@ def test_last_order_in_binary64(kind):
     assert math.isfinite(evaluate(ApproxRequest(kind, 108, 28, 10.0)))
     with pytest.raises(Binary64OverflowError, match="beyond binary64"):
         evaluate(ApproxRequest(kind, 109, 28, 10.0))
+
+
+def _domain_point(rng):
+    # Drawn from a seeded Random rather than from one strategy per field:
+    # those spend most examples on the simplest values (p = 1, n = 0, and a
+    # quarter of them on |z| = 1 exactly).
+    kind = rng.choice("IJ")
+    p = rng.randint(1, 40)
+    n = rng.randrange(min(4 * p, 109))
+    top = _COSH_EDGE if kind == "I" else 5000.0
+    az = min(math.exp(rng.uniform(math.log(1e-3), math.log(top))), top)
+    return kind, n, p, rng.choice((az, -az))
+
+
+def _argument_rounding(kind, n, p, z):
+    # sum_k |T_k'(c_k |z|)| dx_k over the nodes k >= 1; see test_whole_domain.
+    u = 2.0**-53
+    az = abs(z)
+    with mp.workdps(30):
+        total = mp.mpf(0)
+        for k, c in enumerate(make_nodes(p), 1):
+            exact = mp.cos(mp.pi * k / (2 * p))
+            dx = az * abs(c - exact) + u * c * az
+            x = exact * az
+            if n == 0:
+                slope = 2 * abs(mp.sinh(x) if kind == "I" else mp.sin(x)) / (2 * p)
+            else:
+                m = n - 1
+                bessel, sign = (mp.besseli, 1) if kind == "I" else (mp.besselj, -1)
+                f_m, f_next = (mp.sqrt(mp.pi / (2 * x)) * bessel(l + mp.mpf(1) / 2, x)
+                               for l in (m, m + 1))
+                slope = az / (2 * p) * 2 * exact ** (n + 1) * abs(m / x * f_m + sign * f_next)
+            total += slope * dx
+        return total
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.randoms(use_true_random=True).map(_domain_point))
+@example(("J", 1, 2, -932.98))  # 1.26e-12 S off: needs the second allowance
+@example(("I", 108, 40, _COSH_EDGE))  # the series' reach, where the plan cancels
+def test_whole_domain(point):
+    """Random points of the accepted domain against the approximant.
+
+    Drawn uniformly: the kind, p <= 40, n < min(4p, 109) (from n = 109
+    every argument raises), and |z| log-uniform from 1e-3 up to the edge of
+    cosh (I) or 5000 (J), either sign.  The rule is _misses', 1e-12
+    relative to the larger of |A_n| and the node terms' magnitude sum S,
+    plus two allowances for what no binary64 evaluation can avoid:
+
+    * Underflow.  Below the smallest normal number, 2**-1022, binary64
+      holds only the multiples of 2**-1074, so a value there cannot be
+      1e-12 accurate; it may be either grid point around the reference, an
+      error of at most 2**-1074.
+    * Argument rounding.  Every path but the series takes node term k at
+      the binary64 argument fl(fl(c_k) |z|), the reference at c_k |z|
+      exactly.  The node is off by |fl(c_k) - c_k| (at most 2.5 u for
+      p <= 40, u = 2**-53) and the product rounds by at most u fl(c_k) |z|,
+      so the argument is off by at most dx_k = |z| |fl(c_k) - c_k| +
+      u fl(c_k) |z|, about 3.5 u |z|, and the term by about |T_k'| dx_k.
+      With T_k(x) = (|z|/2p) 2 c_k**(n+1) f_m(x), m = n - 1, f = i or j
+      (2 cosh x / 2p or 2 cos x / 2p for n = 0), and f_m' = (m/x) f_m +-
+      f_{m+1}, the allowance is sum_k |T_k'(c_k |z|)| dx_k; node 0, |z|
+      itself, is exact.  For J it reaches about 3.5 u |z| S, 1.9e-12 S at
+      |z| = 5000, beyond the rule itself; the draw goes that far all the
+      same.
+    """
+    kind, n, p, z = point
+    got = evaluate(ApproxRequest(kind, n, p, z))
+    want, scale = spherical_approximant(kind, n, p, z)
+    err = abs(got - want)
+    bound = TOL * max(abs(want), scale)
+    if abs(want) < sys.float_info.min:
+        bound += math.ulp(0.0)
+    if err > bound:
+        bound += _argument_rounding(kind, n, p, z)
+    assert err <= bound, (point, got, float(want), float(scale))
 
 
 def test_forced_series_far_out_gives_way():

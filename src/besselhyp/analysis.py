@@ -144,8 +144,12 @@ def _check_n(n: int) -> None:
 
 
 def _check_order(n: int, p: int) -> None:
+    # In ApproxRequest's order: p >= 1 before n < 4p, which reads nothing
+    # sensible for p < 1.
     _check_n(n)
     _require_int("accuracy parameter p", p)
+    if p < 1:
+        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
     if n >= 4 * p:
         raise DomainError(f"order n={n} needs n < 4p = {4 * p}")
 

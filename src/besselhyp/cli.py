@@ -25,7 +25,8 @@ from functools import cache
 
 from .approximation import ApproxRequest, DomainError, evaluate
 from .coefficients import derive_expansion
-from .reference import identity_residual, ref_I, ref_J
+from .reference import _validate as check_oracle_args
+from .reference import identity_residual, ref_I, ref_I_orders, ref_J, ref_J_orders
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,17 +40,33 @@ ROW_CSV = "%s,%d,%d,%.16e,%.16e,%.16e,%.1e,%.1e,%d,%s"
 ROW_CSV_FULL = "%s,%d,%d,%.16e,%.16e,%.16e,%.16e,%.16e,%d,%s"
 
 
-def _row(kind: str, n: int, p: int, z: float) -> tuple:
-    """One approximant-versus-oracle comparison, in CSV column order."""
-    req = ApproxRequest(kind=kind, n=n, p=p, z=z)
-    start = time.perf_counter_ns()
-    value = evaluate(req)
-    ns = time.perf_counter_ns() - start
-    oracle = ref_I(n, z) if kind == "I" else ref_J(n, z)
-    abs_err = abs(value - oracle)
-    if oracle != 0.0:
-        return (kind, n, p, req.z, value, oracle, abs_err, abs_err / abs(oracle), ns, "")
-    return (kind, n, p, req.z, value, oracle, abs_err, abs_err, ns, "abs")
+def _rows(kind: str, orders: list[int], p: int, zs: list[float]) -> list[tuple]:
+    """Approximant-versus-oracle comparisons over strictly ascending
+    orders and the arguments zs, orders outermost, each in CSV column
+    order."""
+    # Row by row: the request, the approximant, then the oracle's argument
+    # check, so the first error raised is that row's.
+    measured = []
+    for n in orders:
+        for z in zs:
+            req = ApproxRequest(kind=kind, n=n, p=p, z=z)
+            start = time.perf_counter_ns()
+            value = evaluate(req)
+            measured.append((n, req.z, value, time.perf_counter_ns() - start))
+            check_oracle_args(n, z)
+    # Then every order of one argument from one oracle call, read back in
+    # row order.
+    oracle_orders = ref_I_orders if kind == "I" else ref_J_orders
+    by_z = [oracle_orders(orders, z) for z in zs]
+    exact = [value for by_n in zip(*by_z) for value in by_n]
+    rows = []
+    for (n, z, value, ns), oracle in zip(measured, exact):
+        abs_err = abs(value - oracle)
+        if oracle != 0.0:
+            rows.append((kind, n, p, z, value, oracle, abs_err, abs_err / abs(oracle), ns, ""))
+        else:
+            rows.append((kind, n, p, z, value, oracle, abs_err, abs_err, ns, "abs"))
+    return rows
 
 
 def _emit_rows(rows: list[tuple], fmt: str, full: bool) -> None:
@@ -96,15 +113,14 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _emit_rows([_row(args.kind, args.n, args.p, args.z)], args.format, args.full)
+    _emit_rows(_rows(args.kind, [args.n], args.p, [args.z]), args.format, args.full)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     orders = sorted(set(_parse_ints(args.n)))
     zs = sorted(set(_parse_floats(args.z)))
-    rows = [_row(args.kind, n, args.p, z) for n in orders for z in zs]
-    _emit_rows(rows, args.format, args.full)
+    _emit_rows(_rows(args.kind, orders, args.p, zs), args.format, args.full)
     return EXIT_OK
 
 

@@ -17,18 +17,27 @@ and 30.  ref_J is within 1e-13 relative or 1e-15 absolute for every
 n <= 64 up to |z| = 30 (on a grid of step 0.37 its largest absolute error
 is 7.7e-16).  Its largest relative error is 7.1e-15 at z = 10, 2.3e-14 at
 z = 30, and 2.0e-13 at z = 20, where J_15 is next to its first zero.
+
+ref_I_orders and ref_J_orders give several orders at one argument, as a
+table row needs them, each value bit for bit the one-order function's: the
+J orders that take Miller's recurrence from the same start read their
+values from one pass, and each series order's leading term goes on from
+the order before.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable, Sequence
+from itertools import groupby
 
 Z_MAX = 30.0
 N_MAX = 64
 
 _TOL = 1e-15
 _MAX_TERMS = 200
+#: The series' term indices k = 1 .. _MAX_TERMS - 1, as floats.
+_TERM_INDEX = tuple(map(float, range(1, _MAX_TERMS)))
 #: ref_J sums its series while z**2 <= _J_SERIES_REACH (n + 1), and takes
 #: Miller's recurrence beyond.
 _J_SERIES_REACH = 8.0
@@ -49,13 +58,24 @@ def _validate(n: int, z: float) -> None:
         raise ValueError(f"oracle argument must satisfy |z| <= {Z_MAX}, got {z!r}")
 
 
-def _leading_term(n: int, z: float) -> float:
-    # (z/2)**n / n! via a running product; never a bare factorial.
+def _leading_term(n: int, z: float, term: float = 1.0, done: int = 0) -> float:
+    # (z/2)**n / n! via a running product; never a bare factorial.  Given
+    # the product at an order done <= n, it goes on from there, with the
+    # same roundings as from the start.  The factors i = done + 1 .. n come
+    # as floats from the series' indices, which reach past N_MAX.
     half = 0.5 * z
-    term = 1.0
-    for i in range(1, n + 1):
+    for i in _TERM_INDEX[done:n]:
         term *= half / i
     return term
+
+
+def _validate_orders(orders: Sequence[int], z: float) -> None:
+    last = -1
+    for n in orders:
+        _validate(n, z)
+        if n <= last:
+            raise ValueError(f"oracle orders must be strictly ascending, got {list(orders)}")
+        last = n
 
 
 def ref_I(n: int, z: float) -> float:
@@ -66,15 +86,36 @@ def ref_I(n: int, z: float) -> float:
     the sign of z, so this gives the same bits as summing at z itself.
     """
     _validate(n, z)
+    return _series_I(n, z)
+
+
+def ref_I_orders(orders: Sequence[int], z: float) -> list[float]:
+    """[ref_I(n, z) for n in orders], bit for bit, for strictly ascending
+    orders; each order's leading term goes on from the one before."""
+    _validate_orders(orders, z)
+    x = abs(z)
+    values = []
+    term, done = 1.0, 0
+    for n in orders:
+        term, done = _leading_term(n, x, term, done), n
+        values.append(_series_I(n, z, term))
+    return values
+
+
+def _series_I(n: int, z: float, term: float | None = None) -> float:
+    # ref_I's sum; ``term`` is the leading term at |z| when already known.
     x = abs(z)
     tol = _TOL
-    term = _leading_term(n, x)
+    if term is None:
+        term = _leading_term(n, x)
     # Neumaier-compensated sum of the terms, in locals; with every term
-    # >= 0 no comparison needs an abs.
+    # >= 0 no comparison needs an abs.  The divisor k (n + k) is taken in
+    # floats, where it is exact.
     total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = 0.25 * x * x
-    for k in range(1, _MAX_TERMS):
-        term *= ratio / (k * (n + k))
+    m = float(n)
+    for k in _TERM_INDEX:
+        term *= ratio / (k * (m + k))
         t = total + term
         if total >= term:
             carry += (total - t) + term
@@ -95,23 +136,57 @@ def ref_J(n: int, z: float) -> float:
     _validate(n, z)
     if z * z <= _J_SERIES_REACH * (n + 1):
         return _series_J(n, z)
-    value = _miller_J(n, abs(z))
+    (value,) = _miller_J((n,), abs(z))
     return -value if z < 0 and n % 2 else value
 
 
-def _series_J(n: int, z: float) -> float:
+def ref_J_orders(orders: Sequence[int], z: float) -> list[float]:
+    """[ref_J(n, z) for n in orders], bit for bit, for strictly ascending
+    orders.
+
+    The orders that take Miller's recurrence, those with z**2 >
+    _J_SERIES_REACH (n + 1), come first.  Every order below |z| starts it
+    from the same order, and so may two neighbours above; the orders that
+    share a start read their values from one pass.  The series orders'
+    leading terms go on from one to the next.
+    """
+    _validate_orders(orders, z)
+    x = abs(z)
+    split = 0
+    for n in orders:
+        if z * z <= _J_SERIES_REACH * (n + 1):
+            break
+        split += 1
+    values = []
+    for _, group in groupby(orders[:split], lambda n: _miller_start(n, x)):
+        values += _miller_J(list(group), x)
+    if z < 0:  # the Miller values are at |z|
+        values = [-v if n % 2 else v for n, v in zip(orders, values)]
+    term, done = 1.0, 0
+    for n in orders[split:]:
+        term, done = _leading_term(n, z, term, done), n
+        values.append(_series_J(n, z, term))
+    return values
+
+
+def _series_J(n: int, z: float, term: float | None = None) -> float:
     """Alternating series for J_n, with a two-term lookahead stop.
 
     The lookahead guards against stopping on an accidentally small term of
-    an alternating sum before its neighbour has been folded in.
+    an alternating sum before its neighbour has been folded in; it is taken
+    only once the term itself is small enough.  ``term`` is the leading
+    term when already known.
     """
     tol = _TOL
-    term = _leading_term(n, z)
-    # Neumaier-compensated sum of the terms, in locals.
+    if term is None:
+        term = _leading_term(n, z)
+    # Neumaier-compensated sum of the terms, in locals, with the divisors
+    # k (n + k) in floats, where they are exact.
     total, carry = 0.0 + term, 0.0  # the first add, exactly
     ratio = -0.25 * z * z
-    for k in range(1, _MAX_TERMS):
-        term *= ratio / (k * (n + k))
+    m = float(n)
+    for k in _TERM_INDEX:
+        term *= ratio / (k * (m + k))
         t = total + term
         if abs(total) >= abs(term):
             carry += (total - t) + term
@@ -119,38 +194,51 @@ def _series_J(n: int, z: float) -> float:
             carry += (term - t) + total
         total = t
         bound = tol * abs(total + carry)
-        lookahead = abs(term * ratio) / ((k + 1) * (n + k + 1))
-        if abs(term) <= bound and lookahead <= bound:
+        if abs(term) <= bound and abs(term * ratio) / ((k + 1.0) * (m + k + 1.0)) <= bound:
             break
     return total + carry
 
 
-def _miller_J(n: int, x: float) -> float:
-    """J_n(x) for x > 0 by Miller's backward recurrence
-    J_{k-1} = (2k/x) J_k - J_{k+1} from trial values 0 and 1 at an even
-    order N = max(n, x) + 16 + sqrt(40 max(n, x)), normalised by
-    1 = J_0 + 2 sum_k J_2k (DLMF §10.12).  The trial values are rescaled by
-    1e-250 whenever one passes 1e250."""
+def _miller_start(n: int, x: float) -> int:
+    # The even order N = max(n, x) + 16 + sqrt(40 max(n, x)) Miller's
+    # recurrence for J_n(x) starts from.
     top = max(n, x)
     start = int(top + 16.0 + math.sqrt(40.0 * top))
-    start += start % 2
+    return start + start % 2
+
+
+def _miller_J(orders: Sequence[int], x: float) -> list[float]:
+    """J_n(x) for x > 0 and each n of the ascending ``orders``, which share
+    one start, by Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}
+    from trial values 0 and 1 at the even order N = _miller_start(n, x),
+    normalised by 1 = J_0 + 2 sum_k J_2k (DLMF §10.12).
+
+    The recurrence takes two orders per step, from an even k to k - 2, and
+    the trial values are rescaled by 1e-250 once the even one has passed
+    1e250, tested once per step.  Where ref_J takes the recurrence (n <= 64,
+    sqrt(8 (n + 1)) < |z| <= 30) they stay below 1e83, so that never fires.
+    """
     two_over_x = 2.0 / x
+    k = float(_miller_start(orders[-1], x))
     above, cur = 0.0, 1.0  # trial J_{k+1}, J_k
-    evens = at_n = 0.0  # trial sum of J_2k for 2k >= 2, and J_n once passed
-    for k in range(start, 0, -1):
-        if k == n:
-            at_n = cur
-        if not k % 2:
+    evens = 0.0  # trial sum of J_2k for 2k >= 2
+    trial = []  # trial J_n for each order passed, the highest first
+    # The last stop, at J_0, closes the pass; its entry is dropped.
+    for n in (*reversed(orders), 0):
+        stop = float(n - n % 2)
+        while k > stop:
             evens += cur
-        above, cur = cur, k * two_over_x * cur - above
-        if abs(cur) > 1e250:
-            above *= 1e-250
-            cur *= 1e-250
-            evens *= 1e-250
-            at_n *= 1e-250
-    if n == 0:
-        at_n = cur
-    return at_n / (cur + 2.0 * evens)
+            above = k * two_over_x * cur - above
+            cur = (k - 1.0) * two_over_x * above - cur
+            k -= 2.0
+            if cur > 1e250 or cur < -1e250:
+                above *= 1e-250
+                cur *= 1e-250
+                evens *= 1e-250
+                trial = [v * 1e-250 for v in trial]
+        trial.append(above if n % 2 else cur)
+    norm = cur + 2.0 * evens
+    return [v / norm for v in reversed(trial[:-1])]
 
 
 def _lacunary(ref: Callable[[int, float], float], step: int, z: float) -> float:

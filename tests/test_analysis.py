@@ -187,6 +187,13 @@ class TestHighPrecisionTwins:
             first_mismatch_order(8, 2)
         with pytest.raises(ValueError, match="order must be >= 0"):
             hp_ref("I", -1, 1.0)
+        # An accuracy parameter p < 1 is rejected as ApproxRequest rejects
+        # it, before the n < 4p check that reads nothing sensible for it.
+        for p in (0, -1):
+            for call in (lambda: hp_approx("I", 0, p, 1.0), lambda: hp_error("J", 0, p, 1.0),
+                         lambda: fit_error_slope("I", 0, p), lambda: first_mismatch_order(0, p)):
+                with pytest.raises(ValueError, match=f"accuracy parameter p must be >= 1, got {p}"):
+                    call()
         # Orders and parameters are ints, as ApproxRequest takes them: not a
         # float, and not a bool.
         for call in (lambda: hp_approx("I", 2.0, 2, 0.5), lambda: hp_approx("I", True, 2, 0.5),

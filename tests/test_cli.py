@@ -14,6 +14,7 @@ from besselhyp.cli import (
     EXIT_USAGE,
     main,
 )
+from besselhyp.reference import ref_I, ref_J
 
 
 def run(capsys, *argv):
@@ -145,6 +146,42 @@ class TestTable:
         code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1,2", "--format", "json")
         assert code == EXIT_OK
         assert len(json.loads(out)) == 4
+
+    @pytest.mark.parametrize("kind,oracle", [("I", ref_I), ("J", ref_J)])
+    def test_oracle_column_is_the_oracle(self, capsys, kind, oracle):
+        # The table takes every order of one argument from one oracle call;
+        # each value is still the one-order oracle's, for series and Miller
+        # orders alike and at both signs.
+        code, out, _ = run(capsys, "table", "--kind", kind, "-p", "8", "-n", "0,1,7,18,31",
+                           "-z", "-30,-12.5,-2,0,0.3,3.8317059702075125,9,17.3,22.6,30")
+        assert code == EXIT_OK
+        rows = csv_rows(out)
+        assert len(rows) == 50
+        for row in rows:
+            n, z = int(row[1]), float(row[3])
+            assert row[5] == "%.16e" % oracle(n, z), (n, z)
+
+    # Each row runs the request check, the approximant, then the oracle's
+    # check, orders outermost, and every row is checked before any oracle
+    # call: the first error is the one a row-at-a-time loop would raise.
+    @pytest.mark.parametrize("argv,code,err", [
+        (("--kind", "J", "-n", "5,70", "-p", "20", "-z", "20"), EXIT_USAGE,
+         "argument error: oracle order must satisfy 0 <= n <= 64, got 70\n"),
+        (("--kind", "J", "-n", "40", "-p", "8", "-z", "31"), EXIT_DOMAIN,
+         "domain error: order n=40 needs n < 4p = 32; no series terms are matched beyond that\n"),
+        (("--kind", "J", "-n", "3", "-p", "2", "-z", "31,nan"), EXIT_USAGE,
+         "argument error: argument must be finite, got nan\n"),
+        (("--kind", "I", "-n", "70", "-p", "20", "-z", "1"), EXIT_USAGE,
+         "argument error: oracle order must satisfy 0 <= n <= 64, got 70\n"),
+        # The request of a later row fails after an earlier row's oracle
+        # check, and an earlier row's approximant before a later oracle check.
+        (("--kind", "J", "-n", "3,40", "-p", "8", "-z", "31"), EXIT_USAGE,
+         "argument error: oracle argument must satisfy |z| <= 30.0, got 31.0\n"),
+        (("--kind", "I", "-n", "3,65", "-p", "20", "-z", "720"), EXIT_DOMAIN,
+         "domain error: approximant of order n=3 at p=20 overflows binary64 at z=720.0\n"),
+    ])
+    def test_first_error_is_the_row_loops(self, capsys, argv, code, err):
+        assert run(capsys, "table", *argv) == (code, "", err)
 
 
 def mask_ns(out):
@@ -279,6 +316,13 @@ class TestScaling:
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--samples", "4")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_parameter_below_one_is_usage_error(self, capsys, p):
+        # As eval, table and bench report it, not as a domain error.
+        code, out, err = run(capsys, "scaling", "-n", "0", "-p", p)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"argument error: accuracy parameter p must be >= 1, got {p}\n"
 
     def test_order_at_4p_is_domain_error(self, capsys):
         code, out, err = run(capsys, "scaling", "-n", "8", "-p", "2")

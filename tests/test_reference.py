@@ -11,8 +11,13 @@ from besselhyp.reference import (
     _MAX_TERMS,
     _TOL,
     IDENTITY_TAGS,
+    N_MAX,
+    Z_MAX,
     _miller_J,
+    _miller_start,
     _series_J,
+    ref_I_orders,
+    ref_J_orders,
 )
 from fixtures import ref_I_accumulator, ref_J_accumulator
 
@@ -126,8 +131,68 @@ class TestMillerJ:
     def test_rescaled_trial_values(self):
         # From order 130 down to 0 at x = 1 the trial values grow past
         # 1e250; rescaled, J_64(1) is still the series' value.
-        assert _miller_J(64, 1.0) == pytest.approx(_series_J(64, 1.0), rel=1e-14)
-        assert _miller_J(0, 1.0) == pytest.approx(J0_AT_1, rel=1e-15)
+        assert _miller_J([64], 1.0) == [pytest.approx(_series_J(64, 1.0), rel=1e-14)]
+        assert _miller_J([0], 1.0) == [pytest.approx(J0_AT_1, rel=1e-15)]
+        # Orders passed before a rescale are rescaled with the pass.
+        assert _miller_J([0, 9, 10, 64], 1.0) == [
+            pytest.approx(_series_J(n, 1.0), rel=1e-14) for n in (0, 9, 10, 64)]
+
+    def test_trial_values_stay_far_below_the_rescale(self):
+        # Over ref_J's Miller region, n <= 64 and sqrt(8 (n + 1)) < |z| <=
+        # 30, the trial values peak near 3.9e82 (at n = 63, |z| = 22.65), so
+        # testing the 1e250 rescale once per two orders moves no bit there.
+        # The trial values depend only on the start and |z|.
+        passes = set()
+        for i in range(1, 401):
+            x = Z_MAX * i / 400
+            passes.update((_miller_start(n, x), x) for n in range(N_MAX + 1)
+                          if x * x > _J_SERIES_REACH * (n + 1))
+        largest = 0.0
+        for start, x in passes:
+            above, cur = 0.0, 1.0
+            for k in range(start, 0, -1):
+                above, cur = cur, k * (2.0 / x) * cur - above
+                largest = max(largest, abs(cur))
+        assert 1e80 < largest < 1e100
+
+
+class TestSharedOrders:
+    """ref_I_orders and ref_J_orders give each order's one-order value, bit
+    for bit: J orders that share a Miller start share one pass, and the
+    series orders share their leading terms."""
+
+    ZS = tuple(s * Z_MAX * i / 120 for i in range(121) for s in (1.0, -1.0)) + (
+        2.404825557695773, -3.8317059702075125, 1e-300, -1e-300)
+    ORDER_SETS = (
+        list(range(N_MAX + 1)),  # every order: series, and Miller from each start
+        [0, 1, 2, 5, 13, 14, 27, 40, 41, 64],
+        list(range(1, N_MAX + 1, 3)),
+        [7],
+    )
+
+    @pytest.mark.parametrize("shared,single", [(ref_I_orders, ref_I), (ref_J_orders, ref_J)],
+                             ids=["I", "J"])
+    def test_bit_for_bit(self, shared, single):
+        for orders in self.ORDER_SETS:
+            for z in self.ZS:
+                got = [v.hex() for v in shared(orders, z)]
+                assert got == [single(n, z).hex() for n in orders], (orders, z)
+
+    def test_a_table_mixes_series_and_miller_orders(self):
+        # At |z| = 20 orders up to 48 take Miller's recurrence, from one
+        # start below |z| and their own above it, and the rest the series.
+        miller = [n for n in range(N_MAX + 1) if 400.0 > _J_SERIES_REACH * (n + 1)]
+        starts = {_miller_start(n, 20.0) for n in miller}
+        assert len(miller) == 49 and 1 < len(starts) < len(miller)
+
+    @pytest.mark.parametrize("shared", [ref_I_orders, ref_J_orders])
+    def test_orders_are_validated(self, shared):
+        assert shared([], 1.0) == []
+        for orders in ([3, 3], [4, 2], [0, 65], [-1, 2]):
+            with pytest.raises(ValueError):
+                shared(orders, 1.0)
+        with pytest.raises(ValueError, match=r"\|z\| <= 30"):
+            shared([0, 1], 30.5)
 
 
 class TestSeriesPolicy:

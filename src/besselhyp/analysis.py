@@ -20,7 +20,7 @@ of the assembled kernels.  This module therefore reaches them two other ways:
 
 Neither path touches any library Bessel implementation, or the binary64
 plan; the reference stays the same ascending series, just in wider
-arithmetic.
+arithmetic.  Arguments meet the rules approximation raises, plus dps >= 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_di
                           to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .approximation import DomainError, _require_int, _signed_expansion
+from .approximation import _signed_expansion, _validate_args, _validate_domain, _validate_finite
 from .coefficients import derive_expansion
 
 
@@ -48,8 +48,7 @@ def node_power_sum(p: int, m: int) -> Fraction:
     nothing), which is exactly 4**-j sum_{l = j mod 2p} C(2j, l)
     (Trefethen & Weideman, SIAM Rev. 56, 2014).
     """
-    if p < 1:
-        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+    _validate_args(p=p)
     if m < 0 or m % 2:
         raise ValueError(f"node power sums are exact for even m >= 0, got m={m}")
     j = m // 2
@@ -97,7 +96,8 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
 def first_mismatch_order(n: int, p: int) -> int:
     """Lowest order whose approximant coefficient differs from the I_n series:
     max(4p - n, n), the order of the error's first term (_leading_error)."""
-    _check_order(n, p)
+    _validate_args(n=n, p=p)
+    _validate_domain(n, p)
     return _leading_error(n, p)[0]
 
 
@@ -132,38 +132,22 @@ _REF_MAX_TERMS = 1000
 _LN2 = math.log(2)
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ("I", "J"):
-        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-
-
-def _check_n(n: int) -> None:
-    _require_int("order n", n)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-
-
-def _check_order(n: int, p: int) -> None:
-    # In ApproxRequest's order: p >= 1 before n < 4p, which reads nothing
-    # sensible for p < 1.
-    _check_n(n)
-    _require_int("accuracy parameter p", p)
-    if p < 1:
-        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
-    if n >= 4 * p:
-        raise DomainError(f"order n={n} needs n < 4p = {4 * p}")
-
-
 def _check_dps(dps: int) -> None:
     if dps < 1:
         raise ValueError(f"dps must be >= 1, got {dps}")
 
 
-def _finite_mpf(z) -> mp.mpf:
-    zz = mp.mpf(z)
-    if not mp.isfinite(zz):
-        raise ValueError(f"argument must be finite, got {z!r}")
-    return zz
+def _twin_argument(kind: str, n: int, p: int | None, z, dps: int) -> tuple[mp.mpf, int, int]:
+    """ApproxRequest's checks (p None for hp_ref), with dps >= 1 before z;
+    returns z as an mpf at dps digits and its exact man, exp (man 2**exp)."""
+    _validate_args(kind, n, 1 if p is None else p)
+    _check_dps(dps)
+    with mp.workdps(dps):
+        zz = mp.mpf(z)
+    _validate_finite(zz)
+    if p is not None:
+        _validate_domain(n, p)
+    return (zz, *_man_exp(zz))
 
 
 def _shift(x: int, bits: int) -> int:
@@ -328,12 +312,7 @@ def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     the values are carried relative to e**|z|, which every term may carry,
     so that large |z| costs no more bits than small.
     """
-    _check_kind(kind)
-    _check_order(n, p)
-    _check_dps(dps)
-    with mp.workdps(dps):
-        zz = _finite_mpf(z)
-    man, exp = _man_exp(zz)
+    zz, man, exp = _twin_argument(kind, n, p, z, dps)
     F = _scale(dps, n, p, man, exp) - (0 if kind == "J" else _e_bits(man, exp))
     return _to_mpf(_approx_fixed(kind, n, p, zz, F), F, 2 * p, dps)
 
@@ -346,12 +325,7 @@ def hp_ref(kind: str, n: int, z, dps: int = 50) -> mp.mpf:
     that factor as the sum is relative to max(|sum|, 1).  A series that has
     not converged after ``_REF_MAX_TERMS`` terms raises ``ValueError``.
     """
-    _check_kind(kind)
-    _check_n(n)
-    _check_dps(dps)
-    with mp.workdps(dps):
-        zz = _finite_mpf(z)
-    man, exp = _man_exp(zz)
+    zz, man, exp = _twin_argument(kind, n, None, z, dps)
     # (z/2)**n / n! > 2**least
     least = n * (exp - 2 + man.bit_length()) - factorial(n).bit_length() if man else 0
     F = dps_to_prec(dps) + _GUARD_BITS - least
@@ -364,11 +338,7 @@ def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     Both twins are carried at one fixed-point scale and subtracted as
     integers, so only the difference is rounded to ``dps`` digits.
     """
-    _check_kind(kind)
-    _check_order(n, p)
-    _check_dps(dps)
-    with mp.workdps(dps):
-        zz = _finite_mpf(z)
+    zz, _, _ = _twin_argument(kind, n, p, z, dps)
     diff, F = _error_fixed(kind, n, p, zz, dps)
     return _to_mpf(diff, F, 2 * p, dps)
 
@@ -436,8 +406,8 @@ def fit_error_slope(
     measured once more at the cap, and ``ValueError`` is raised if it is
     noise there too.  The slope is fitted to the measured errors only.
     """
-    _check_kind(kind)
-    _check_order(n, p)
+    _validate_args(kind, n, p)
+    _validate_domain(n, p)
     if not (0.0 < z_lo < z_hi):
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
     if samples < 2:

@@ -47,9 +47,9 @@ and one statement per node term; it runs the same Horner recurrence, in the
 same order, as summing each kernel_q on its own (one sinh/cosh per term
 and node), so its results equal that per-term form bit for bit.
 
-A request is validated once, when ApproxRequest is built: its own __init__
-checks the raw arguments and stores each field once, and evaluate trusts
-what it is given.
+The argument rules for (kind, n, p, z) are raised here alone (_validate_*):
+ApproxRequest applies them once, when it is built, evaluate trusts what it
+is given, and the analysis twins and make_nodes call the same functions.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class ApproxRequest:
     """One evaluation request: function kind, order, accuracy, argument.
 
     Requests are validated once, on construction, and each field is stored
-    once; in particular n < 4p is required for the approximant to have any
-    matched series terms, and ``z`` is stored as a float.  The read-only
-    ``eps`` is the |z| = 0.25 (n + 1) below which evaluate takes the series
-    without a cost comparison; it is derived from ``n``, not set.
+    once: kind "I" or "J", ints n >= 0 and p >= 1, finite z (as a float) and
+    n < 4p, without which no series terms match.  The read-only ``eps`` is
+    the |z| = 0.25 (n + 1) below which evaluate takes the series without a
+    cost comparison; it is derived from ``n``, not set.
     """
 
     kind: str
@@ -98,26 +98,15 @@ class ApproxRequest:
     z: float
 
     def __init__(self, kind: str, n: int, p: int, z: float) -> None:
-        # Validates the raw arguments, then stores each field once, straight
-        # into the instance dict: the class is frozen, this is its only
-        # writer, and item stores cost less than object.__setattr__.
-        if kind not in ("I", "J"):
-            raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-        if type(n) is not int or type(p) is not int:
-            _require_int("order n", n)
-            _require_int("accuracy parameter p", p)
-        if n < 0:
-            raise ValueError(f"order n must be >= 0, got {n}")
-        if p < 1:
-            raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
-        z = float(z)
-        if not math.isfinite(z):
-            raise ValueError(f"argument must be finite, got {z!r}")
-        if n >= 4 * p:
-            raise DomainError(
-                f"order n={n} needs n < 4p = {4 * p}; "
-                "no series terms are matched beyond that"
-            )
+        # One test on the accepted path; a request that fails it meets the
+        # rules in turn.  Fields go straight into the instance dict: the class
+        # is frozen, and item stores cost less than object.__setattr__.
+        if not (kind in ("I", "J") and type(n) is int and type(p) is int and 0 <= n < 4 * p
+                and math.isfinite(z := float(z))):
+            _validate_args(kind, n, p)
+            z = float(z)
+            _validate_finite(z)
+            _validate_domain(n, p)
         fields = self.__dict__
         fields["kind"] = kind
         fields["n"] = n
@@ -135,20 +124,40 @@ def _forced_series_below(n: int) -> float:
     return 0.25 * (n + 1)
 
 
-def _require_int(name: str, value: object) -> None:
-    # bool is an int subclass, but True is no order.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
+def _validate_args(kind: str = "I", n: int = 0, p: int = 1) -> None:
+    """The approximant's argument rules, raised here alone, in order: kind
+    is "I" or "J"; n and p are ints, bools not; n >= 0; p >= 1.  Each
+    default passes.  _validate_finite and then _validate_domain follow."""
+    if kind not in ("I", "J"):
+        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
+    for name, value in (("order n", n), ("accuracy parameter p", p)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+    if n < 0:
+        raise ValueError(f"order n must be >= 0, got {n}")
+    if p < 1:
+        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
 
 
-@lru_cache(maxsize=None)
+def _validate_finite(z) -> None:
+    # z - z is nan for an inf or a nan, float or mpf, and 0 for an mpf past binary64.
+    if z - z != 0:
+        raise ValueError(f"argument must be finite, got {float(z)!r}")
+
+
+def _validate_domain(n: int, p: int) -> None:
+    if n >= 4 * p:
+        raise DomainError(f"order n={n} needs n < 4p = {4 * p}; "
+                          "no series terms are matched beyond that")
+
+
+@lru_cache(maxsize=None, typed=True)  # so True or 2.0 meets the int rule
 def make_nodes(p: int) -> tuple[float, ...]:
     """Interior cosine nodes cos(k*pi/(2p)) for k = 1..p-1, cached per p.
 
     Strictly decreasing in the open interval (0, 1); empty for p = 1.
     """
-    if p < 1:
-        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+    _validate_args(p=p)
     return tuple(math.cos(k * math.pi / (2 * p)) for k in range(1, p))
 
 

@@ -26,7 +26,7 @@ from functools import cache
 from .approximation import ApproxRequest, DomainError, evaluate
 from .coefficients import derive_expansion
 from .reference import _validate as check_oracle_args
-from .reference import identity_residual, ref_I, ref_I_orders, ref_J, ref_J_orders
+from .reference import _ref_I_orders, _ref_J_orders, identity_residual, ref_I, ref_J
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,9 +54,9 @@ def _rows(kind: str, orders: list[int], p: int, zs: list[float]) -> list[tuple]:
             value = evaluate(req)
             measured.append((n, req.z, value, time.perf_counter_ns() - start))
             check_oracle_args(n, z)
-    # Then every order of one argument from one oracle call, read back in
-    # row order.
-    oracle_orders = ref_I_orders if kind == "I" else ref_J_orders
+    # Then every order of one argument from one oracle call, unchecked (each
+    # row checked its own), read back in row order.
+    oracle_orders = _ref_I_orders if kind == "I" else _ref_J_orders
     by_z = [oracle_orders(orders, z) for z in zs]
     exact = [value for by_n in zip(*by_z) for value in by_n]
     rows = []

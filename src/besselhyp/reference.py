@@ -10,13 +10,15 @@ below 1e-15 of the partial sum (for J, two terms in a row), or after 200
 terms.  Beyond that reach ref_J runs Miller's backward recurrence, where
 the alternating series would cancel.
 
-Arguments are capped at |z| <= 30 and orders at n <= 64.  Against the
-fixed-point series ``analysis.hp_ref``, the largest relative error over
-n <= 64 of ref_I, a sum of positive terms, is below 1e-15 at z = 10, 20
-and 30.  ref_J is within 1e-13 relative or 1e-15 absolute for every
-n <= 64 up to |z| = 30 (on a grid of step 0.37 its largest absolute error
-is 7.7e-16).  Its largest relative error is 7.1e-15 at z = 10, 2.3e-14 at
-z = 30, and 2.0e-13 at z = 20, where J_15 is next to its first zero.
+Orders and accuracy parameters are ints (bools not), orders n <= 64, and
+arguments |z| <= 30: rules of the oracle's own, which imports nothing from
+the package.  Against the fixed-point series ``analysis.hp_ref``, the
+largest relative error over n <= 64 of ref_I, a sum of positive terms, is
+below 1e-15 at z = 10, 20 and 30.  ref_J is within 1e-13 relative or
+1e-15 absolute for every n <= 64 up to |z| = 30 (on a grid of step 0.37
+its largest absolute error is 7.7e-16).  Its largest relative error is
+7.1e-15 at z = 10, 2.3e-14 at z = 30, and 2.0e-13 at z = 20, where J_15
+is next to its first zero.
 
 ref_I_orders and ref_J_orders give several orders at one argument, as a
 table row needs them, each value bit for bit the one-order function's: the
@@ -51,11 +53,24 @@ _J_SERIES_REACH = 8.0
 IDENTITY_TAGS = ("N2", "N4", "N8", "N4P", "J4P")
 
 
+def _require_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _validate(n: int, z: float) -> None:
+    if type(n) is not int:
+        _require_int("oracle order", n)
     if not 0 <= n <= N_MAX:
         raise ValueError(f"oracle order must satisfy 0 <= n <= {N_MAX}, got {n}")
     if not (math.isfinite(z) and abs(z) <= Z_MAX):
         raise ValueError(f"oracle argument must satisfy |z| <= {Z_MAX}, got {z!r}")
+
+
+def _validate_p(p: int) -> None:
+    _require_int("accuracy parameter p", p)
+    if p < 1:
+        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
 
 
 def _leading_term(n: int, z: float, term: float = 1.0, done: int = 0) -> float:
@@ -93,6 +108,11 @@ def ref_I_orders(orders: Sequence[int], z: float) -> list[float]:
     """[ref_I(n, z) for n in orders], bit for bit, for strictly ascending
     orders; each order's leading term goes on from the one before."""
     _validate_orders(orders, z)
+    return _ref_I_orders(orders, z)
+
+
+def _ref_I_orders(orders: Sequence[int], z: float) -> list[float]:
+    # ref_I_orders for orders and z already checked.
     x = abs(z)
     values = []
     term, done = 1.0, 0
@@ -151,6 +171,11 @@ def ref_J_orders(orders: Sequence[int], z: float) -> list[float]:
     leading terms go on from one to the next.
     """
     _validate_orders(orders, z)
+    return _ref_J_orders(orders, z)
+
+
+def _ref_J_orders(orders: Sequence[int], z: float) -> list[float]:
+    # ref_J_orders for orders and z already checked.
     x = abs(z)
     split = 0
     for n in orders:
@@ -270,8 +295,7 @@ def tail_I0(p: int, z: float) -> float:
     from I_0; it is positive for z > 0 and strictly decreasing in p.  The
     oracle's n <= 64 limits it to 4p <= 64.
     """
-    if p < 1:
-        raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+    _validate_p(p)
     _validate(0, z)
     return 2.0 * _lacunary(ref_I, 4 * p, z)
 
@@ -301,14 +325,10 @@ def identity_residual(which: str, z: float, p: int | None = None) -> float:
     if which == "N8":
         lhs = 0.25 * (1.0 + math.cosh(z) + 2.0 * math.cosh(z / math.sqrt(2.0)))
         return lhs - (ref_I(0, z) + 2.0 * _lacunary(ref_I, 8, z))
-    if which == "N4P":
-        if p is None or p < 1:
-            raise ValueError("identity N4P needs an accuracy parameter p >= 1")
-        rhs = ref_I(0, z) + 2.0 * _lacunary(ref_I, 4 * p, z)
-        return _averaged(math.cosh, p, z) - rhs
-    if which == "J4P":
-        if p is None or p < 1:
-            raise ValueError("identity J4P needs an accuracy parameter p >= 1")
-        rhs = ref_J(0, z) + 2.0 * _lacunary(ref_J, 4 * p, z)
-        return _averaged(math.cos, p, z) - rhs
+    if which in ("N4P", "J4P"):
+        if p is None:
+            raise ValueError(f"identity {which} needs an accuracy parameter p")
+        _validate_p(p)
+        fn, ref = (math.cosh, ref_I) if which == "N4P" else (math.cos, ref_J)
+        return _averaged(fn, p, z) - (ref(0, z) + 2.0 * _lacunary(ref, 4 * p, z))
     raise ValueError(f"unknown identity tag {which!r}; expected one of {IDENTITY_TAGS}")

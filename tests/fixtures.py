@@ -26,7 +26,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from besselhyp.analysis import _check_dps, _finite_mpf
+from besselhyp.analysis import _twin_argument
 from besselhyp.approximation import _compile, _j_term_sign, _node_power, make_nodes
 from besselhyp.coefficients import derive_expansion
 from besselhyp.reference import _MAX_TERMS, _TOL, _leading_term, _validate
@@ -221,13 +221,8 @@ def hp_approx_mpf(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     so a call costs at most 2p transcendentals; the kernels are summed from
     them and assembled by the same Horner recurrence as the per-term form.
     """
-    if kind not in ("I", "J"):
-        raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-    if n >= 4 * p:
-        raise ValueError(f"order n={n} needs n < 4p = {4 * p}")
-    _check_dps(dps)
+    zz = _twin_argument(kind, n, p, z, dps)[0]
     with mp.workdps(dps):
-        zz = _finite_mpf(z)
         nodes, rows = _hp_nodes(p, mp.mp.prec)
         trig = kind == "J"
         args = [zz] + [c * zz for c in nodes]

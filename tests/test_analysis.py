@@ -173,19 +173,19 @@ class TestHighPrecisionTwins:
         # it is the approximant's domain.
         for fn in (hp_approx, hp_error):
             for z in (0.0, 0.5):
-                with pytest.raises(ValueError, match="order must be >= 0"):
+                with pytest.raises(ValueError, match="order n must be >= 0"):
                     fn("I", -1, 2, z)
                 with pytest.raises(DomainError, match="n < 4p = 8"):
                     fn("I", 8, 2, z)
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="order n must be >= 0"):
             fit_error_slope("I", -1, 2)
         with pytest.raises(DomainError, match="n < 4p = 8"):
             fit_error_slope("I", 8, 2)
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="order n must be >= 0"):
             first_mismatch_order(-1, 2)
         with pytest.raises(DomainError, match="n < 4p = 8"):
             first_mismatch_order(8, 2)
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="order n must be >= 0"):
             hp_ref("I", -1, 1.0)
         # An accuracy parameter p < 1 is rejected as ApproxRequest rejects
         # it, before the n < 4p check that reads nothing sensible for it.

@@ -327,7 +327,8 @@ class TestScaling:
     def test_order_at_4p_is_domain_error(self, capsys):
         code, out, err = run(capsys, "scaling", "-n", "8", "-p", "2")
         assert code == EXIT_DOMAIN
-        assert out == "" and err == "domain error: order n=8 needs n < 4p = 8\n"
+        assert out == "" and err == ("domain error: order n=8 needs n < 4p = 8; "
+                                     "no series terms are matched beyond that\n")
 
     def test_too_few_digits_is_usage_error(self, capsys):
         # The (0, 8) error, below 1e-70, calls for more digits than 16 times

@@ -195,6 +195,44 @@ class TestSharedOrders:
             shared([0, 1], 30.5)
 
 
+class TestIntegerRule:
+    """Orders and accuracy parameters are ints, bools not included: a float
+    order used to be summed as the next integer (ref_J(2.5, 10.0) gave
+    ref_J(3, 10.0) bit for bit), and True as 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ref_J(2.5, 10.0),
+        lambda: ref_I(True, 1.0),
+        lambda: ref_I(2.0, 1.0),
+        lambda: ref_J(False, 1.0),
+        lambda: ref_I_orders([1, 2.0], 1.0),
+        lambda: ref_J_orders([True, 2], 1.0),
+    ])
+    def test_order_must_be_an_int(self, call):
+        with pytest.raises(TypeError, match="oracle order must be an int, got "):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda p: tail_I0(p, 1.0),
+        lambda p: identity_residual("N4P", 1.0, p=p),
+        lambda p: identity_residual("J4P", 1.0, p=p),
+    ])
+    def test_parameter_must_be_an_int(self, call):
+        for p in (2.0, True):
+            with pytest.raises(TypeError, match=f"accuracy parameter p must be an int, got {p}"):
+                call(p)
+        for p in (0, -1):
+            with pytest.raises(ValueError, match=f"accuracy parameter p must be >= 1, got {p}"):
+                call(p)
+
+    def test_int_subclass_is_an_int(self):
+        class Order(int):
+            pass
+
+        assert ref_I(Order(3), 4.0) == ref_I(3, 4.0)
+        assert tail_I0(Order(2), 1.0) == tail_I0(2, 1.0)
+
+
 class TestSeriesPolicy:
     def test_defaults(self):
         # The stopping rule is fixed: tolerance 1e-15 of the partial sum,

@@ -36,7 +36,8 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_di
                           to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .approximation import _signed_expansion, _validate_args, _validate_domain, _validate_finite
+from .approximation import (_signed_expansion, _validate_args, _validate_domain, _validate_finite,
+                            _validate_int)
 from .coefficients import derive_expansion
 
 
@@ -58,10 +59,16 @@ def node_power_sum(p: int, m: int) -> Fraction:
     return Fraction(2 * p * total, 4**j)
 
 
+def _check_power(t: int) -> None:
+    _validate_int("power t", t)
+    if t < 0:
+        raise ValueError(f"power t must be >= 0, got {t}")
+
+
 def bessel_i_series_coeff(n: int, t: int) -> Fraction:
-    """Exact z**t Maclaurin coefficient of I_n."""
-    if n < 0 or t < 0:
-        raise ValueError("need n >= 0 and t >= 0")
+    """Exact z**t Maclaurin coefficient of I_n, any int n >= 0 and t >= 0."""
+    _validate_args(n=n)
+    _check_power(t)
     if t < n or (t - n) % 2:
         return Fraction(0)
     k = (t - n) // 2
@@ -74,9 +81,10 @@ def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
     Expands every kernel as its power series with exact node powers:
     the z**j kernel coefficient is P(q + j)/j!, so the approximant's z**t
     coefficient collects P(t + n)/(t + n - q)! over the expansion terms.
+    Defined for every int n >= 0, p >= 1 and t >= 0, n >= 4p included.
     """
-    if n < 0 or t < 0:
-        raise ValueError("need n >= 0 and t >= 0")
+    _validate_args(n=n, p=p)
+    _check_power(t)
     if (t - n) % 2:
         return Fraction(0)
     if n == 0:

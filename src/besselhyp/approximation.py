@@ -36,7 +36,15 @@ evaluated by the cheapest of three paths that is well-conditioned there:
   upward recurrence, and all nodes below it share one Miller backward
   recurrence at the largest of them, x_b, which the multiplication theorem
   j_m(lam x) = lam**m sum_l ((1 - lam**2) x/2)**l / l! j_{m+l}(x) (DLMF
-  10.23.1) turns into every node's value, lam = c_k / c_b.
+  10.23.1) turns into every node's value, lam = c_k / c_b.  Both
+  recurrences step over the factors 2l + 1 as floats (_ODD), which round
+  as the int factors would.
+
+For J with n >= 2 the plan is tried only where a Horner bound on its terms
+is at most _COND_MAX 2p times the largest |A_n|.  That bound never grows
+with |z|, even rounded, so this holds exactly from one |z| on, z_reach,
+found once per route (_z_reach); a point below it goes to the node sum
+without running the bound.
 
 Every kernel of the order-n assembly is taken at the same p arguments z and
 c_k z; only the parity and the node weights 2 c_k**q change from term to
@@ -130,13 +138,18 @@ def _validate_args(kind: str = "I", n: int = 0, p: int = 1) -> None:
     default passes.  _validate_finite and then _validate_domain follow."""
     if kind not in ("I", "J"):
         raise ValueError(f"kind must be 'I' or 'J', got {kind!r}")
-    for name, value in (("order n", n), ("accuracy parameter p", p)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+    _validate_int("order n", n)
+    _validate_int("accuracy parameter p", p)
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     if p < 1:
         raise ValueError(f"accuracy parameter p must be >= 1, got {p}")
+
+
+def _validate_int(name: str, value) -> None:
+    # The int rule, bools not, for n, p and any other integer argument.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _validate_finite(z) -> None:
@@ -401,10 +414,12 @@ class _Route(NamedTuple):
     The series takes |z| below ``series_below``, at least the forced-series
     threshold 0.25 (n + 1), from ``lead`` and ``ratios`` (see _series), and
     ``plan`` the rest.  For J with n >= 2, ``bound`` holds |a(n, q)|
-    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z| bounds
-    the plan's terms; the plan is tried while that bound is at most
-    ``reach`` and kept while it is at most ``limit`` = _COND_MAX 2p times
-    the result.
+    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z|
+    (_bound_size) bounds the plan's terms; the plan is tried from |z| =
+    ``z_reach`` on, the least |z| at which that bound is at most _COND_MAX
+    2p times the largest |A_n| (see _z_reach), and kept while the bound is
+    at most ``limit`` = _COND_MAX 2p times the result.  Below z_reach the node
+    sum takes the point without running the bound.
     """
 
     series_below: float
@@ -412,8 +427,60 @@ class _Route(NamedTuple):
     ratios: tuple[float, ...]
     plan: _Plan
     bound: tuple[float, ...]
-    reach: float
+    z_reach: float
     limit: float
+
+
+def _bound_size(bound: tuple[float, ...], az: float) -> float:
+    # The Horner sum of bound in 1/az, step by step as evaluate runs it.
+    size = 0.0
+    for m in bound:
+        size = size / az + m
+    return size
+
+
+def _z_reach(bound: tuple[float, ...], reach: float) -> float:
+    """The least az > 0 with _bound_size(bound, az) <= reach, or inf if none.
+
+    Every entry of bound is >= 0 and each rounded Horner step is monotone,
+    so the computed size never grows with az: it is at most reach exactly
+    from this az on.  Newton's method on log size against log az starts at
+    the single-term bound max_q (b_q / reach)**(1/(n-q)), where one term
+    alone reaches reach; log size is a convex, falling function of log az
+    there, so the iterates stay below the root and close in on it fast.
+    A bracket the rounded size itself confirms is then bisected down to
+    adjacent floats.
+    """
+    if _bound_size(bound, sys.float_info.max) > reach:
+        return math.inf
+    n = len(bound)
+    az = max((b / reach) ** (1.0 / (n - q)) for q, b in enumerate(bound[:-1], 1))
+    for _ in range(20):
+        # size and its derivative in u = 1/az, by Horner.
+        u = 1.0 / az
+        size = slope = 0.0
+        for b in bound:
+            slope = slope * u + size
+            size = size * u + b
+        step = math.log(size / reach) * size / (u * slope)
+        az *= math.exp(step)
+        if abs(step) < 2.0 ** -40:
+            break
+    lo = hi = az
+    d = az * 2.0 ** -50
+    while _bound_size(bound, lo) <= reach:
+        lo = max(lo - d, 0.5 * lo)
+        d += d
+    d = az * 2.0 ** -50
+    while _bound_size(bound, hi) > reach:
+        hi = min(hi + d, sys.float_info.max)
+        d += d
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
+        if _bound_size(bound, mid) > reach:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @lru_cache(maxsize=None)
@@ -442,7 +509,8 @@ def _route(n: int, p: int, trig: bool) -> _Route:
     # |A_n| <= (1 + sum_k 2 c_k**n) / 2p times the largest |x j_{n-1}(x)|,
     # taken as 2.
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
-    return _Route(below, lead, ratios, plan, bound, reach, _COND_MAX * 2 * p)
+    return _Route(below, lead, ratios, plan, bound, _z_reach(bound, reach),
+                  _COND_MAX * 2 * p)
 
 
 def _sum_series(lead: float, ratios: tuple[float, ...], n: int, az: float,
@@ -478,6 +546,21 @@ def _sum_series(lead: float, ratios: tuple[float, ...], n: int, az: float,
     return None
 
 
+def _span(m: int) -> int:
+    # The group recurrence starts span orders above m: by order m its trial
+    # start has decayed below binary64 resolution, and by its top the
+    # multiplication sum's terms have decayed below that of the group.
+    return 8 + int(math.sqrt(8.0 * m))
+
+
+#: The factors 2l + 1 of the spherical Bessel recurrences as floats, l = 0,
+#: 1, ...: each converts exactly, so a step over them rounds as a step over
+#: ints does, without the conversion.  They reach the top order m + _span(m)
+#: of the node sum at m = 107 (n = 108, the last order _route admits), and
+#: _node_terms checks that they reach that of each node sum it sets up.
+_ODD = tuple(float(2 * l + 1) for l in range(107 + _span(107) + 1))
+
+
 def _spherical_j(m: int, x: float) -> float:
     """j_m(x) at or above the turning point x >= m > 0 (and j_0 at any
     x > 0), by upward recurrence from j_0 and j_1."""
@@ -486,7 +569,7 @@ def _spherical_j(m: int, x: float) -> float:
         return j0
     inv = 1.0 / x
     prev, cur = j0, (j0 - math.cos(x)) * inv
-    for odd in range(3, 2 * m, 2):  # 2l + 1 for l = 1 .. m-1
+    for odd in _ODD[1:m]:  # 2l + 1 for l = 1 .. m-1
         prev, cur = cur, odd * inv * cur - prev
     return cur
 
@@ -500,10 +583,7 @@ def _multiplication_coeffs(m: int, members: Iterable[tuple[float, float, float]]
     j_m(lam x) = lam**m sum_l (mu x/2)**l / l! j_{m+l}(x), so these
     coefficients give sum w j_m(lam x) = sum_l coeffs[l] x**l j_{m+l}(x).
     """
-    # The group recurrence starts span orders above m: by order m its trial
-    # start has decayed below binary64 resolution, and by its top the
-    # multiplication sum's terms have decayed below that of the group.
-    span = 8 + int(math.sqrt(8.0 * m))
+    span = _span(m)
     # One row of w lam**m mu**l per member, summed by column.
     rows = [accumulate(repeat(mu, span), operator.mul, initial=w * lam**m)
             for w, lam, mu in members]
@@ -521,10 +601,10 @@ def _group_sum(m: int, x: float, coeffs: tuple[float, ...]) -> float:
     top = m + len(coeffs) - 1
     nxt, cur = 0.0, 1e-150
     acc = 0.0
-    for odd, a in zip(range(2 * top + 1, 2 * m, -2), reversed(coeffs)):
+    for odd, a in zip(_ODD[top:m - 1:-1], reversed(coeffs)):
         acc = acc * x + a * cur  # cur is the trial j_l, odd = 2l + 1
         nxt, cur = cur, odd * inv * cur - nxt
-    for odd in range(2 * m - 1, 2, -2):  # l = m-1 .. 1
+    for odd in _ODD[m - 1:0:-1]:  # l = m-1 .. 1
         nxt, cur = cur, odd * inv * cur - nxt
     j0 = math.sin(x) * inv
     j1 = (j0 - math.cos(x)) * inv
@@ -536,6 +616,7 @@ def _group_sum(m: int, x: float, coeffs: tuple[float, ...]) -> float:
 @lru_cache(maxsize=None)
 def _node_terms(n: int, p: int) -> tuple[tuple[float, float], ...]:
     # (c_k, weight) in decreasing c_k, with |z| itself as node 0 at weight 1.
+    _ODD[n - 1 + _span(n - 1)]  # IndexError where a recurrence would run short
     return tuple(zip((1.0,) + make_nodes(p), (1.0,) + _node_weights(p, n + 1)))
 
 
@@ -584,12 +665,13 @@ def evaluate(req: ApproxRequest) -> float:
 
     Each point takes the cheapest well-conditioned path: the series below
     the (kind, n, p) crossover or ``req.eps``, else the plan; for J with
-    n >= 2 the plan only where its Horner bound stays within the condition
-    limit of the result, else the node sum by recurrence.
+    n >= 2 the plan only from the route's z_reach on, where its Horner
+    bound is within reach, and only where that bound stays within the
+    condition limit of the result, else the node sum by recurrence.
     """
     n, p, z = req.n, req.p, req.z
     trig = req.kind == "J"
-    below, lead, ratios, plan, bound, reach, limit = _route(n, p, trig)
+    below, lead, ratios, plan, bound, z_reach, limit = _route(n, p, trig)
     az = abs(z)
     if az < below:
         value = _sum_series(lead, ratios, n, az, trig)
@@ -597,10 +679,10 @@ def evaluate(req: ApproxRequest) -> float:
             return -value if z < 0 and n % 2 else value
     if not bound:
         return _plan_value(plan, n, p, z)
-    size = 0.0
-    for m in bound:
-        size = size / az + m
-    if size <= reach:
+    if az >= z_reach:
+        size = 0.0
+        for m in bound:
+            size = size / az + m
         value = _plan_value(plan, n, p, z)
         if size <= limit * abs(value):
             return value

@@ -17,8 +17,6 @@ an approximant beyond binary64 range), 4 internal consistency failure
 from __future__ import annotations
 
 import argparse
-import json
-import statistics
 import sys
 import time
 from functools import cache
@@ -72,10 +70,16 @@ def _rows(kind: str, orders: list[int], p: int, zs: list[float]) -> list[tuple]:
 def _emit_rows(rows: list[tuple], fmt: str, full: bool) -> None:
     if fmt == "json":
         keys = CSV_HEADER.split(",")
-        print(json.dumps([dict(zip(keys, row)) for row in rows], indent=2))
+        _print_json([dict(zip(keys, row)) for row in rows])
         return
     line = ROW_CSV_FULL if full else ROW_CSV
     print(CSV_HEADER, *[line % row for row in rows], sep="\n")
+
+
+def _print_json(value: object) -> None:
+    # json loads only for --format json.
+    import json
+    print(json.dumps(value, indent=2))
 
 
 def fit_error_slope(*args, **kwargs) -> float:
@@ -140,11 +144,11 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                             args.samples, dps=args.dps)
     expected = first_mismatch_order(args.n, args.p)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "kind": args.kind, "n": args.n, "p": args.p,
             "z_min": args.z_min, "z_max": args.z_max,
             "samples": args.samples, "slope": slope, "expected": expected,
-        }, indent=2))
+        })
     else:
         print("kind,n,p,z_min,z_max,samples,slope,expected")
         print(f"{args.kind},{args.n},{args.p},{args.z_min},{args.z_max},"
@@ -172,14 +176,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             oracle(args.n, z)
         oracle_samples.append((time.perf_counter_ns() - start) / len(zs))
 
-    approx_ns = statistics.median(approx_samples)
-    oracle_ns = statistics.median(oracle_samples)
+    from statistics import median  # loads only for bench
+    approx_ns = median(approx_samples)
+    oracle_ns = median(oracle_samples)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "kind": args.kind, "n": args.n, "p": args.p, "points": len(zs),
             "repetitions": args.repetitions, "approx_ns_median": approx_ns,
             "oracle_ns_median": oracle_ns,
-        }, indent=2))
+        })
     else:
         print("kind,n,p,points,repetitions,approx_ns_median,oracle_ns_median")
         print(f"{args.kind},{args.n},{args.p},{len(zs)},{args.repetitions},"
@@ -199,10 +204,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
             worst = max(abs(identity_residual(tag, z, p=p)) for z in zs)
             rows.append((tag, str(p), worst))
     if args.format == "json":
-        print(json.dumps([
+        _print_json([
             {"identity": tag, "p": p or None, "max_abs_residual": worst}
             for tag, p, worst in rows
-        ], indent=2))
+        ])
     else:
         print("identity,p,max_abs_residual")
         for tag, p, worst in rows:

@@ -16,7 +16,10 @@ rounding floor.
 half-integer Bessel functions, apart from the repository's algebra, and
 ``ref_I_accumulator``/``ref_J_accumulator`` keep the oracle loops that sum
 through a Neumaier accumulator object, which ``ref_I``/``ref_J`` must match
-bit for bit.
+bit for bit.  ``spherical_j_int``/``group_sum_int`` keep the node sum's
+recurrences stepping over int factors 2l + 1, which ``_spherical_j`` and
+``_group_sum``, stepping over the same factors as floats, must match bit for
+bit.
 """
 
 import cmath
@@ -353,3 +356,34 @@ def ref_J_accumulator(n: int, z: float) -> float:
         if abs(term) <= bound and lookahead <= bound:
             break
     return acc.value()
+
+
+def spherical_j_int(m: int, x: float) -> float:
+    """j_m(x) for x >= m > 0 by upward recurrence, each factor 2l + 1 an int."""
+    j0 = math.sin(x) / x
+    if m == 0:
+        return j0
+    inv = 1.0 / x
+    prev, cur = j0, (j0 - math.cos(x)) * inv
+    for odd in range(3, 2 * m, 2):  # 2l + 1 for l = 1 .. m-1
+        prev, cur = cur, odd * inv * cur - prev
+    return cur
+
+
+def group_sum_int(m: int, x: float, coeffs: tuple[float, ...]) -> float:
+    """sum_l coeffs[l] x**l j_{m+l}(x) for 0 < x < m by one Miller recurrence,
+    each factor 2l + 1 an int."""
+    inv = 1.0 / x
+    top = m + len(coeffs) - 1
+    nxt, cur = 0.0, 1e-150
+    acc = 0.0
+    for odd, a in zip(range(2 * top + 1, 2 * m, -2), reversed(coeffs)):
+        acc = acc * x + a * cur
+        nxt, cur = cur, odd * inv * cur - nxt
+    for odd in range(2 * m - 1, 2, -2):  # l = m-1 .. 1
+        nxt, cur = cur, odd * inv * cur - nxt
+    j0 = math.sin(x) * inv
+    j1 = (j0 - math.cos(x)) * inv
+    if abs(j0) >= abs(j1):
+        return acc * (j0 / cur)
+    return acc * (j1 / nxt)

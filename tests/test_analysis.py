@@ -77,8 +77,9 @@ class TestSeriesCoefficients:
         assert bessel_i_series_coeff(3, 3) == Fraction(1, 48)
         assert bessel_i_series_coeff(3, 2) == 0
         assert bessel_i_series_coeff(2, 1) == 0
-        for n, t in ((-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match="n >= 0 and t >= 0"):
+        for n, t, message in ((-1, 0, "order n must be >= 0, got -1"),
+                              (0, -1, "power t must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
                 bessel_i_series_coeff(n, t)
 
     def test_approximant_spot_values(self):
@@ -87,8 +88,9 @@ class TestSeriesCoefficients:
         assert approximant_series_coeff(1, 2, 3) == Fraction(1, 16)
         # Low orders below n cancel exactly.
         assert approximant_series_coeff(3, 2, 1) == 0
-        for n, t in ((-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match="n >= 0 and t >= 0"):
+        for n, t, message in ((-1, 0, "order n must be >= 0, got -1"),
+                              (0, -1, "power t must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
                 approximant_series_coeff(n, 2, t)
 
     @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])

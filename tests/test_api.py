@@ -111,3 +111,10 @@ def test_cli_import_loads_no_mpmath():
     # Only scaling needs analysis and its mpmath, which the CLI imports on
     # the first scaling call.
     assert not _cli_import_loads("mpmath")
+
+
+def test_cli_import_loads_no_statistics_or_json():
+    # Only bench takes a median and only --format json prints JSON; each
+    # imports its module where it is used.
+    assert not _cli_import_loads("statistics")
+    assert not _cli_import_loads("json")

@@ -2,9 +2,11 @@
 
 The approximant's rules for (kind, n, p, z) are raised by ``approximation``
 alone: every other entry point that takes those arguments raises exactly
-what ``ApproxRequest`` raises for them.  The oracle keeps its own rules and
-imports nothing from the package.  The structure checks read the source, so
-a copy of a rule that drifts back in fails here before its wording does.
+what ``ApproxRequest`` raises for them.  The exact series coefficients take
+the rules for n and p but not n < 4p, for they exist at every order.  The
+oracle keeps its own rules and imports nothing from the package.  The
+structure checks read the source, so a copy of a rule that drifts back in
+fails here before its wording does.
 """
 
 import ast
@@ -14,6 +16,8 @@ import pytest
 
 import besselhyp
 from besselhyp.analysis import (
+    approximant_series_coeff,
+    bessel_i_series_coeff,
     first_mismatch_order,
     fit_error_slope,
     hp_approx,
@@ -27,8 +31,8 @@ from besselhyp.cli import EXIT_DOMAIN, EXIT_USAGE, main
 NAN, INF = float("nan"), float("inf")
 MATCHED = "; no series terms are matched beyond that"
 
-#: Bad requests, the arguments the first rule they break reads, and what
-#: ApproxRequest raises for them.
+#: Bad requests, the first rule they break (an argument's own rule, or n<4p,
+#: which reads n and p together), and what ApproxRequest raises for them.
 BAD = [
     (("K", 0, 2, 1.0), "kind", ValueError, "kind must be 'I' or 'J', got 'K'"),
     (("i", 9, 2, NAN), "kind", ValueError, "kind must be 'I' or 'J', got 'i'"),
@@ -45,21 +49,23 @@ BAD = [
     (("I", 9, 2, NAN), "z", ValueError, "argument must be finite, got nan"),
     (("J", 3, 2, INF), "z", ValueError, "argument must be finite, got inf"),
     (("I", 3, 2, -INF), "z", ValueError, "argument must be finite, got -inf"),
-    (("I", 8, 2, 1.0), "n p", DomainError, "order n=8 needs n < 4p = 8" + MATCHED),
-    (("J", 9, 2, 0.0), "n p", DomainError, "order n=9 needs n < 4p = 8" + MATCHED),
-    (("I", 4, 1, -2.5), "n p", DomainError, "order n=4 needs n < 4p = 4" + MATCHED),
+    (("I", 8, 2, 1.0), "n<4p", DomainError, "order n=8 needs n < 4p = 8" + MATCHED),
+    (("J", 9, 2, 0.0), "n<4p", DomainError, "order n=9 needs n < 4p = 8" + MATCHED),
+    (("I", 4, 1, -2.5), "n<4p", DomainError, "order n=4 needs n < 4p = 4" + MATCHED),
 ]
 
 #: Every entry point outside ApproxRequest that takes these arguments: the
-#: arguments it takes, and a call of it.
+#: rules it takes, and a call of it.
 ENTRY_POINTS = {
-    "hp_approx": ("kind n p z", lambda kind, n, p, z: hp_approx(kind, n, p, z, dps=20)),
-    "hp_error": ("kind n p z", lambda kind, n, p, z: hp_error(kind, n, p, z, dps=20)),
+    "hp_approx": ("kind n p z n<4p", lambda kind, n, p, z: hp_approx(kind, n, p, z, dps=20)),
+    "hp_error": ("kind n p z n<4p", lambda kind, n, p, z: hp_error(kind, n, p, z, dps=20)),
     "hp_ref": ("kind n z", lambda kind, n, p, z: hp_ref(kind, n, z, dps=20)),
-    "fit_error_slope": ("kind n p", lambda kind, n, p, z: fit_error_slope(kind, n, p)),
-    "first_mismatch_order": ("n p", lambda kind, n, p, z: first_mismatch_order(n, p)),
+    "fit_error_slope": ("kind n p n<4p", lambda kind, n, p, z: fit_error_slope(kind, n, p)),
+    "first_mismatch_order": ("n p n<4p", lambda kind, n, p, z: first_mismatch_order(n, p)),
     "make_nodes": ("p", lambda kind, n, p, z: make_nodes(p)),
     "node_power_sum": ("p", lambda kind, n, p, z: node_power_sum(p, 2)),
+    "approximant_series_coeff": ("n p", lambda kind, n, p, z: approximant_series_coeff(n, p, 1)),
+    "bessel_i_series_coeff": ("n", lambda kind, n, p, z: bessel_i_series_coeff(n, 1)),
 }
 
 
@@ -105,7 +111,7 @@ def test_every_entry_point_meets_every_rule_it_takes():
                  "domain error: " if exc_type is DomainError else "argument error: ",
                  id=_id(args))
     for args, reads, exc_type, _ in BAD
-    if _applies("n p", reads) and type(args[1]) is int and type(args[2]) is int
+    if _applies("n p n<4p", reads) and type(args[1]) is int and type(args[2]) is int
 ])
 def test_scaling_reports_the_request_message(capsys, args, code, prefix):
     kind, n, p, _ = args
@@ -113,6 +119,24 @@ def test_scaling_reports_the_request_message(capsys, args, code, prefix):
     assert main(["scaling", "--kind", kind, "-n", str(n), "-p", str(p)]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", prefix + message + "\n")
+
+
+@pytest.mark.parametrize("t,exc_type,message", [
+    (2.0, TypeError, "power t must be an int, got 2.0"),
+    (True, TypeError, "power t must be an int, got True"),
+    (-1, ValueError, "power t must be >= 0, got -1"),
+])
+def test_series_coefficients_meet_the_power_rule(t, exc_type, message):
+    # The power t meets the int rule that n and p meet, after theirs.
+    assert _raised(lambda: bessel_i_series_coeff(1, t)) == (exc_type, message)
+    assert _raised(lambda: approximant_series_coeff(1, 2, t)) == (exc_type, message)
+    assert _raised(lambda: approximant_series_coeff(1.0, 2, t)) == (
+        TypeError, "order n must be an int, got 1.0")
+
+
+def test_series_coefficients_exist_past_the_domain():
+    # No n < 4p rule: the coefficients of the approximant exist at every order.
+    assert approximant_series_coeff(9, 2, 9) > 0
 
 
 SRC = Path(besselhyp.__file__).parent

@@ -19,23 +19,27 @@ from hypothesis import strategies as st
 from besselhyp import ApproxRequest, Binary64OverflowError, evaluate
 from besselhyp.analysis import approximant_series_coeff, node_power_sum
 from besselhyp.approximation import (
+    _COND_MAX,
     _COSH_EDGE,
+    _ODD,
     _group,
     _group_sum,
     _multiplication_coeffs,
     _node_sum,
     _node_terms,
+    _node_weights,
     _plan,
     _route,
     _series,
     _series_reach,
+    _span,
     _spherical_j,
     _sum_series,
     _trapezoid_weights,
     make_nodes,
 )
 from besselhyp.coefficients import double_factorial
-from fixtures import spherical_approximant
+from fixtures import group_sum_int, spherical_approximant, spherical_j_int
 
 TOL = 1e-12
 
@@ -143,6 +147,77 @@ def test_spherical_bessel_both_sides_of_the_turning_point(m):
     for x in (0.4, 0.9 * m + 0.1, m + 0.05, 1.1 * m + 0.5, 3.0 * m + 2.0, 41.0):
         got = _spherical_j(m, x) if x >= m else _group_sum(m, x, single)
         assert got == pytest.approx(float(_spherical_j_mp(m, x)), rel=1e-13, abs=1e-300), x
+
+
+def _last_admitted_order(p=40):
+    # Every order from 109 raises at every p (test_last_order_in_binary64).
+    last = 0
+    for n in range(2, 4 * p):
+        try:
+            _route(n, p, True)
+        except Binary64OverflowError:
+            continue
+        last = n
+    return last
+
+
+def test_float_factors_reach_every_admitted_order():
+    # The node sum at the last order a route admits reads _ODD up to its
+    # group recurrence's top, m + _span(m); _node_terms refuses past the end.
+    last = _last_admitted_order()
+    assert last == 108
+    m = last - 1
+    assert len(_ODD) > m + _span(m)
+    assert _ODD == tuple(float(2 * l + 1) for l in range(len(_ODD)))
+    with pytest.raises(IndexError):
+        _node_terms(len(_ODD), 40)
+
+
+def test_recurrences_keep_the_int_factor_bits():
+    # Every m a node sum can take, on both sides of the turning point: the
+    # float factors round as the int factors of the fixtures do.
+    differ = []
+    for m in range(108):
+        for x in (m, m + 0.37, 1.3 * m + 0.5, 2.0 * m + 3.1, 41.0, 907.3):
+            if x >= m and x > 0 and _spherical_j(m, x) != spherical_j_int(m, x):
+                differ.append(("up", m, x))
+        if m == 0:
+            continue
+        n = m + 1
+        p = n // 4 + 1
+        b = (len(_node_terms(n, p)) - 1) // 2
+        groups = (_multiplication_coeffs(m, [(1.0, 1.0, 0.0)]), _group(n, p, b)[1])
+        for x in (0.05 * m, 0.5 * m, 0.93 * m, math.nextafter(m, 0.0)):
+            for coeffs in groups:
+                if _group_sum(m, x, coeffs) != group_sum_int(m, x, coeffs):
+                    differ.append(("group", m, x))
+    assert differ == []
+
+
+def _horner_size(bound, az):
+    # The Horner bound as evaluate runs it.
+    size = 0.0
+    for m in bound:
+        size = size / az + m
+    return size
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(2, 4 * p)]
+                         + [(n, p) for p in (16, 25, 40) for n in (2, 3, 17, 45, 63, 99, 108)
+                            if n < 4 * p])
+def test_plan_threshold_is_exact(n, p):
+    # z_reach is the least |z| at which the Horner bound is within the reach
+    # the route tests it against: 2 _COND_MAX (1 + sum_k 2 c_k**n).  Below
+    # it evaluate takes the node sum.
+    route = _route(n, p, True)
+    reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
+    below = math.nextafter(route.z_reach, 0.0)
+    assert _horner_size(route.bound, route.z_reach) <= reach
+    assert _horner_size(route.bound, below) > reach
+    if below >= route.series_below:
+        for z in (below, -below):
+            sign = -1.0 if z < 0 and n % 2 else 1.0
+            assert evaluate(ApproxRequest("J", n, p, z)) == sign * _node_sum(n, p, below)
 
 
 @pytest.mark.parametrize("n,p,b", [(25, 8, 2), (31, 12, 0), (9, 3, 1)])

@@ -55,6 +55,12 @@ and one statement per node term; it runs the same Horner recurrence, in the
 same order, as summing each kernel_q on its own (one sinh/cosh per term
 and node), so its results equal that per-term form bit for bit.
 
+Everything a point needs is one route record per (kind, n, p) (_Route): the
+series' lead and ratios, the plan's runner and rows, and for J the bound's
+terms and thresholds.  It is built on the first point of its (kind, n, p)
+and found by one dict lookup on the request's own fields, and evaluate runs
+the plan from it inline, as _assemble runs it.
+
 The argument rules for (kind, n, p, z) are raised here alone (_validate_*):
 ApproxRequest applies them once, when it is built, evaluate trusts what it
 is given, and the analysis twins and make_nodes call the same functions.
@@ -109,12 +115,12 @@ class ApproxRequest:
         # One test on the accepted path; a request that fails it meets the
         # rules in turn.  Fields go straight into the instance dict: the class
         # is frozen, and item stores cost less than object.__setattr__.
-        if not (kind in ("I", "J") and type(n) is int and type(p) is int and 0 <= n < 4 * p
-                and math.isfinite(z := float(z))):
-            _validate_args(kind, n, p)
-            z = float(z)
-            _validate_finite(z)
-            _validate_domain(n, p)
+        try:
+            if not (kind in ("I", "J") and type(n) is int and type(p) is int
+                    and 0 <= n < 4 * p and math.isfinite(z := float(z))):
+                z = _validate_request(kind, n, p, z)
+        except OverflowError:  # float(z) of an int or Fraction beyond binary64
+            z = _validate_request(kind, n, p, z)
         fields = self.__dict__
         fields["kind"] = kind
         fields["n"] = n
@@ -130,6 +136,20 @@ def _forced_series_below(n: int) -> float:
     # Below it the first term ratio is at most (n + 1)/64 < 1/2, so the
     # series is well-conditioned for both kinds.
     return 0.25 * (n + 1)
+
+
+def _validate_request(kind: str, n: int, p: int, z) -> float:
+    # Every rule in turn, for a request the one test refused: z as a float.
+    # A z whose float would overflow breaks the finite rule, and its message
+    # does not convert it again.
+    _validate_args(kind, n, p)
+    try:
+        z = float(z)
+    except OverflowError:
+        raise ValueError("argument must be finite, got a value beyond binary64 range") from None
+    _validate_finite(z)
+    _validate_domain(n, p)
+    return z
 
 
 def _validate_args(kind: str = "I", n: int = 0, p: int = 1) -> None:
@@ -278,10 +298,8 @@ def _runner(p: int) -> Callable[..., float]:
 
 
 def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
-    return _plan_value(_plan(n, p, trig), n, p, z)
-
-
-def _plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
+    """The plan's value at z, as evaluate takes it on the plan path."""
+    plan = _plan(n, p, trig)
     run, odd, even, steps = plan
     try:
         acc = run(z, odd, even, steps)
@@ -409,11 +427,13 @@ def _series(n: int, p: int) -> tuple[float, tuple[float, ...]]:
 
 
 class _Route(NamedTuple):
-    """How one (kind, n, p) evaluates a point.
+    """How one (kind, n, p) evaluates a point: everything evaluate reads.
 
     The series takes |z| below ``series_below``, at least the forced-series
     threshold 0.25 (n + 1), from ``lead`` and ``ratios`` (see _series), and
-    ``plan`` the rest.  For J with n >= 2, ``bound`` holds |a(n, q)|
+    the plan the rest: ``run``, ``odd``, ``even`` and ``steps`` are the
+    fields of _plan(n, p, trig), held here so that evaluate runs the plan
+    from this record alone.  For J with n >= 2, ``bound`` holds |a(n, q)|
     (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z|
     (_bound_size) bounds the plan's terms; the plan is tried from |z| =
     ``z_reach`` on, the least |z| at which that bound is at most _COND_MAX
@@ -425,7 +445,10 @@ class _Route(NamedTuple):
     series_below: float
     lead: float
     ratios: tuple[float, ...]
-    plan: _Plan
+    run: Callable[..., float]
+    odd: Callable[[float], float] | None
+    even: Callable[[float], float] | None
+    steps: tuple[tuple[bool, float, tuple[float, ...]], ...]
     bound: tuple[float, ...]
     z_reach: float
     limit: float
@@ -483,8 +506,22 @@ def _z_reach(bound: tuple[float, ...], reach: float) -> float:
     return hi
 
 
-@lru_cache(maxsize=None)
-def _route(n: int, p: int, trig: bool) -> _Route:
+#: The route of every (n, p, kind) met so far, keyed as ApproxRequest holds
+#: them, so that evaluate finds a point's route with one dict lookup.  Each is
+#: kept as a plain tuple of the _Route fields: evaluate unpacks it, and an
+#: exact tuple unpacks faster than a NamedTuple.
+_ROUTES: dict[tuple[int, int, str], tuple] = {}
+
+
+def _route(n: int, p: int, kind: str) -> _Route:
+    """The route of (kind, n, p), built on its first call and kept in _ROUTES."""
+    route = _ROUTES.get((n, p, kind))
+    if route is None:
+        route = _ROUTES[n, p, kind] = tuple(_build_route(n, p, kind == "J"))
+    return _Route._make(route)
+
+
+def _build_route(n: int, p: int, trig: bool) -> _Route:
     series_reach = _series_reach(n, p)
     try:
         lead, ratios = _series(n, p)
@@ -499,17 +536,17 @@ def _route(n: int, p: int, trig: bool) -> _Route:
             f"order n={n} at p={p} needs coefficients beyond binary64 range"
         ) from exc
     if not trig:
-        return _Route(series_reach, lead, ratios, plan, (), 0.0, 0.0)
+        return _Route(series_reach, lead, ratios, *plan, (), 0.0, 0.0)
     # The alternating series is well-conditioned below the forced-series
     # threshold and cancels by about _COND_MAX near |z| = 6 + 0.45 n.
     below = min(max(_crossover(n, p), _forced_series_below(n)), 6.0 + 0.45 * n)
     if n < 2:
-        return _Route(below, lead, ratios, plan, (), 0.0, 0.0)
+        return _Route(below, lead, ratios, *plan, (), 0.0, 0.0)
     bound = _term_bounds(plan)
     # |A_n| <= (1 + sum_k 2 c_k**n) / 2p times the largest |x j_{n-1}(x)|,
     # taken as 2.
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
-    return _Route(below, lead, ratios, plan, bound, _z_reach(bound, reach),
+    return _Route(below, lead, ratios, *plan, bound, _z_reach(bound, reach),
                   _COND_MAX * 2 * p)
 
 
@@ -667,24 +704,38 @@ def evaluate(req: ApproxRequest) -> float:
     the (kind, n, p) crossover or ``req.eps``, else the plan; for J with
     n >= 2 the plan only from the route's z_reach on, where its Horner
     bound is within reach, and only where that bound stays within the
-    condition limit of the result, else the node sum by recurrence.
+    condition limit of the result, else the node sum by recurrence.  The
+    route is one dict lookup, and the plan runs here, as _assemble runs it.
     """
-    n, p, z = req.n, req.p, req.z
-    trig = req.kind == "J"
-    below, lead, ratios, plan, bound, z_reach, limit = _route(n, p, trig)
+    n, p, z, kind = req.n, req.p, req.z, req.kind
+    try:
+        route = _ROUTES[n, p, kind]
+    except KeyError:
+        route = _route(n, p, kind)
+    below, lead, ratios, run, odd, even, steps, bound, z_reach, limit = route
     az = abs(z)
     if az < below:
-        value = _sum_series(lead, ratios, n, az, trig)
+        value = _sum_series(lead, ratios, n, az, kind == "J")
         if value is not None:
             return -value if z < 0 and n % 2 else value
-    if not bound:
-        return _plan_value(plan, n, p, z)
-    if az >= z_reach:
+    if bound:
+        if az < z_reach:
+            value = _node_sum(n, p, az)
+            return -value if z < 0 and n % 2 else value
         size = 0.0
         for m in bound:
             size = size / az + m
-        value = _plan_value(plan, n, p, z)
-        if size <= limit * abs(value):
-            return value
+    try:
+        acc = run(z, odd, even, steps)
+    except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
+        acc = math.inf
+    if not math.isfinite(acc):
+        value = _rescaled_plan_value(_plan(n, p, kind == "J"), n, p, z)
+    elif n == 0:
+        value = (1.0 + acc) / (2 * p)
+    else:
+        value = acc / (2 * p)
+    if not bound or size <= limit * abs(value):
+        return value
     value = _node_sum(n, p, az)
     return -value if z < 0 and n % 2 else value

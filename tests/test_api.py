@@ -93,28 +93,37 @@ def test_no_module_reads_the_environment():
         assert "os.environ" not in text and "getenv" not in text, path.name
 
 
-def _cli_import_loads(module):
+def _import_loads(module, imported="besselhyp.cli"):
+    # Whether a fresh interpreter that imports only `imported` has `module`.
     env = dict(os.environ)
     src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    code = f"import sys, besselhyp.cli; sys.exit({module!r} in sys.modules)"
+    code = f"import sys, {imported}; sys.exit({module!r} in sys.modules)"
     return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
 
 
 def test_cli_import_loads_no_numpy():
     # The package computes in floats, integers and mpmath only; numpy costs
     # most of a cold start.
-    assert not _cli_import_loads("numpy")
+    assert not _import_loads("numpy")
 
 
 def test_cli_import_loads_no_mpmath():
     # Only scaling needs analysis and its mpmath, which the CLI imports on
     # the first scaling call.
-    assert not _cli_import_loads("mpmath")
+    assert not _import_loads("mpmath")
 
 
 def test_cli_import_loads_no_statistics_or_json():
     # Only bench takes a median and only --format json prints JSON; each
     # imports its module where it is used.
-    assert not _cli_import_loads("statistics")
-    assert not _cli_import_loads("json")
+    assert not _import_loads("statistics")
+    assert not _import_loads("json")
+
+
+@pytest.mark.parametrize("module", ["numpy", "mpmath", "statistics", "json", "argparse"])
+def test_library_import_loads_none_of_the_tools(module):
+    # A plain `import besselhyp`, as a library caller starts, loads none of
+    # what only the analysis twins or the CLI use: each would add to every
+    # cold start.
+    assert not _import_loads(module, imported="besselhyp")

@@ -77,7 +77,7 @@ class TestRequestValidation:
             for n in range(4 * p):
                 for kind in "IJ":
                     eps = ApproxRequest(kind, n, p, 1.0).eps
-                    assert _route(n, p, kind == "J").series_below >= eps, (kind, n, p)
+                    assert _route(n, p, kind).series_below >= eps, (kind, n, p)
 
     def test_frozen(self):
         req = ApproxRequest("I", 2, 2, 1.5)
@@ -147,7 +147,7 @@ class TestApproxI:
         # both match the approximant.
         for kind in "IJ":
             for edge in (ApproxRequest(kind, n, p, 1.0).eps,
-                         _route(n, p, kind == "J").series_below):
+                         _route(n, p, kind).series_below):
                 if edge <= 0:
                     continue
                 below = evaluate(ApproxRequest(kind, n, p, math.nextafter(edge, 0.0)))

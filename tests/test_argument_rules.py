@@ -10,6 +10,7 @@ fails here before its wording does.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,15 @@ from besselhyp.approximation import ApproxRequest, DomainError, make_nodes
 from besselhyp.cli import EXIT_DOMAIN, EXIT_USAGE, main
 
 NAN, INF = float("nan"), float("inf")
+#: Exact numbers whose float overflows: no binary64 argument.
+HUGE, HUGE_FRACTION = 10**400, Fraction(10**400, 3)
 MATCHED = "; no series terms are matched beyond that"
+BEYOND = "argument must be finite, got a value beyond binary64 range"
 
 #: Bad requests, the first rule they break (an argument's own rule, or n<4p,
 #: which reads n and p together), and what ApproxRequest raises for them.
+#: "z64" is the finite rule for a z that has no float at all; the wide twins
+#: take such a z as an mpf, so only ApproxRequest meets it.
 BAD = [
     (("K", 0, 2, 1.0), "kind", ValueError, "kind must be 'I' or 'J', got 'K'"),
     (("i", 9, 2, NAN), "kind", ValueError, "kind must be 'I' or 'J', got 'i'"),
@@ -49,6 +55,10 @@ BAD = [
     (("I", 9, 2, NAN), "z", ValueError, "argument must be finite, got nan"),
     (("J", 3, 2, INF), "z", ValueError, "argument must be finite, got inf"),
     (("I", 3, 2, -INF), "z", ValueError, "argument must be finite, got -inf"),
+    (("I", 2, 2, HUGE), "z64", ValueError, BEYOND),
+    (("J", 3, 2, -HUGE), "z64", ValueError, BEYOND),
+    (("I", 2, 2, HUGE_FRACTION), "z64", ValueError, BEYOND),
+    (("I", 9, 2, HUGE), "z64", ValueError, BEYOND),
     (("I", 8, 2, 1.0), "n<4p", DomainError, "order n=8 needs n < 4p = 8" + MATCHED),
     (("J", 9, 2, 0.0), "n<4p", DomainError, "order n=9 needs n < 4p = 8" + MATCHED),
     (("I", 4, 1, -2.5), "n<4p", DomainError, "order n=4 needs n < 4p = 4" + MATCHED),
@@ -82,7 +92,8 @@ def _raised(call):
 
 
 def _id(args):
-    return ",".join(map(str, args))
+    names = {HUGE: "10**400", -HUGE: "-10**400", HUGE_FRACTION: "10**400/3"}
+    return ",".join(names.get(arg, str(arg)) for arg in args)
 
 
 @pytest.mark.parametrize("args,reads,exc_type,message", BAD, ids=[_id(row[0]) for row in BAD])

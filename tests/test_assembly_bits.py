@@ -17,8 +17,17 @@ import math
 
 import pytest
 
-from besselhyp import Binary64OverflowError, derive_expansion, make_nodes
-from besselhyp.approximation import _assemble, _j_term_sign, _node_weights, _plan, _runner
+from besselhyp import ApproxRequest, Binary64OverflowError, derive_expansion, evaluate, make_nodes
+from besselhyp.approximation import (
+    _assemble,
+    _bound_size,
+    _j_term_sign,
+    _node_weights,
+    _plan,
+    _route,
+    _runner,
+    _sum_series,
+)
 from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
 
 # Negative and fractional arguments, the cancellation region near zero, and
@@ -93,6 +102,51 @@ def test_plan_matches_kernel_loop(p, trig):
     if not trig:
         assert overflowed  # the grid reaches the binary64 edge
         assert rescaled  # and values whose Horner sum alone overflows
+
+
+def _runner_overflows(n, p, z, trig):
+    # Whether the plan's runner itself leaves binary64, so that the value is
+    # the rescaled run's.
+    run, odd, even, steps = _plan(n, p, trig)
+    try:
+        return not math.isfinite(run(z, odd, even, steps))
+    except OverflowError:
+        return True
+
+
+@pytest.mark.parametrize("p", [*range(1, 9), 12, 16])
+@pytest.mark.parametrize("kind", "IJ")
+def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
+    # evaluate runs the plan inline from its route record: wherever it takes
+    # the plan, its value is _assemble's to the last bit, the rescaled band
+    # below the edge of cosh included, and past the edge it raises as
+    # _assemble does.
+    trig = kind == "J"
+    taken = rescaled = raised = 0
+    for n in range(4 * p):
+        route = _route(n, p, kind)
+        for z in ZS:
+            az = abs(z)
+            if az < route.series_below and _sum_series(
+                    route.lead, route.ratios, n, az, trig) is not None:
+                continue  # the series
+            if route.bound and az < route.z_reach:
+                continue  # the node sum, without the plan
+            try:
+                want = _assemble(n, p, z, trig=trig)
+            except Binary64OverflowError:
+                raised += 1
+                with pytest.raises(Binary64OverflowError):
+                    evaluate(ApproxRequest(kind, n, p, z))
+                continue
+            if route.bound and _bound_size(route.bound, az) > route.limit * abs(want):
+                continue  # the plan refused: the node sum
+            taken += 1
+            rescaled += _runner_overflows(n, p, z, trig)
+            assert evaluate(ApproxRequest(kind, n, p, z)).hex() == want.hex(), (n, z)
+    assert taken
+    if not trig:
+        assert raised and rescaled
 
 
 def test_zero_argument_still_divides_by_zero():

@@ -2,10 +2,12 @@
 
 import json
 import re
+import time
+import types
 
 import pytest
 
-from besselhyp import cli
+from besselhyp import approximation, cli
 from besselhyp.cli import (
     CSV_HEADER,
     EXIT_CONSISTENCY,
@@ -411,6 +413,31 @@ class TestBench:
     def test_zero_repetitions_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "bench", "-n", "0", "-p", "2", "--repetitions", "0")
         assert code == EXIT_USAGE
+
+    def test_timed_calls_find_their_route_built(self, capsys, monkeypatch):
+        # One untimed pass builds the route, so that even a single repetition
+        # times warm calls: every evaluate after the first clock reading
+        # finds its route already cached.
+        approximation._ROUTES.pop((5, 3, "J"), None)
+        events = []
+
+        def traced(req):
+            events.append(("evaluate", (req.n, req.p, req.kind) in approximation._ROUTES))
+            return approximation.evaluate(req)
+
+        def clock():
+            events.append(("clock",))
+            return time.perf_counter_ns()
+
+        monkeypatch.setattr(cli, "evaluate", traced)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter_ns=clock))
+        code, _, _ = run(capsys, "bench", "--kind", "J", "-n", "5", "-p", "3",
+                         "-z", "1,2", "--repetitions", "1")
+        assert code == EXIT_OK
+        first_clock = events.index(("clock",))
+        assert events[:first_clock] == [("evaluate", False), ("evaluate", True)]
+        assert [event for event in events[first_clock:] if event[0] == "evaluate"] == [
+            ("evaluate", True), ("evaluate", True)]
 
 
 class TestIdentities:

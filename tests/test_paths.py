@@ -154,7 +154,7 @@ def _last_admitted_order(p=40):
     last = 0
     for n in range(2, 4 * p):
         try:
-            _route(n, p, True)
+            _route(n, p, "J")
         except Binary64OverflowError:
             continue
         last = n
@@ -209,7 +209,7 @@ def test_plan_threshold_is_exact(n, p):
     # z_reach is the least |z| at which the Horner bound is within the reach
     # the route tests it against: 2 _COND_MAX (1 + sum_k 2 c_k**n).  Below
     # it evaluate takes the node sum.
-    route = _route(n, p, True)
+    route = _route(n, p, "J")
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
     below = math.nextafter(route.z_reach, 0.0)
     assert _horner_size(route.bound, route.z_reach) <= reach
@@ -280,7 +280,7 @@ def test_every_hyperbolic_table_reaches_its_threshold():
     # the whole series: below it the plan would cancel, and a table that ran
     # out would hand the point to it.  The routes are checked through their
     # parts, which cost no plan.
-    assert _route(96, 25, False)[:3] == (_series_reach(96, 25), *_series(96, 25))
+    assert _route(96, 25, "I")[:3] == (_series_reach(96, 25), *_series(96, 25))
     short = []
     for p in range(1, 33):
         for n in range(min(4 * p, 109)):

@@ -32,8 +32,8 @@ from math import comb, factorial
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_div, round_nearest,
-                          to_fixed)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_div, mpf_gt,
+                          round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .approximation import (_signed_expansion, _validate_args, _validate_domain, _validate_finite,
@@ -137,6 +137,9 @@ def _leading_error(n: int, p: int) -> tuple[int, float]:
 #: truncation of up to ``_REF_MAX_TERMS`` series terms.
 _GUARD_BITS = 40
 _REF_MAX_TERMS = 1000
+#: Largest |z| the I assembly twin takes: it carries e**|z| as one integer of
+#: about 1.44 |z| bits, 1.8 MB here and beyond memory by 1e12.
+_I_TWIN_Z_MAX = 10**7
 _LN2 = math.log(2)
 
 
@@ -174,8 +177,14 @@ def _man_exp(z) -> tuple[int, int]:
 
 def _e_bits(man: int, exp: int) -> int:
     # floor(|z| / ln 2) to within one, from 1/ln 2 to 64 bits past the units
-    # of |z| = |man| 2**exp: e**|z| < 2**(_e_bits + 2).
-    w = max(0, exp + man.bit_length()) + 64
+    # of |z| = |man| 2**exp: e**|z| < 2**(_e_bits + 2).  Every I assembly
+    # sizes its integers by it, so the twin's own |z| limit is raised here,
+    # before any of them is built; |z| < 2**mag, and 2**23 is below it.
+    mag = exp + man.bit_length()
+    if mag > 23 and mpf_gt(from_man_exp(abs(man), exp), from_int(_I_TWIN_Z_MAX)):
+        raise ValueError(f"the wide I twin takes |z| <= {_I_TWIN_Z_MAX:.0e}: e**|z| would "
+                         "be one integer of about 1.44|z| bits")
+    w = max(0, mag) + 64
     return _shift(abs(man) * ((1 << 2 * w) // ln2_fixed(w)), exp - w)
 
 
@@ -214,7 +223,8 @@ def _approx_fixed(kind: str, n: int, p: int, z, F: int) -> int:
     their rounding stays below that too.  The kernels are integer dot
     products, and the Horner step acc/z is a floor division by man shifted
     by exp.  F may be negative: the value is then carried to 2**-F, a
-    multiple of one.
+    multiple of one.  For I past |z| = ``_I_TWIN_Z_MAX`` it raises
+    ``ValueError`` (_e_bits).
     """
     man, exp = _man_exp(z)
     trig = kind == "J"
@@ -295,9 +305,12 @@ def _ref_fixed(kind: str, n: int, z, F: int) -> int:
 
 
 def _error_fixed(kind: str, n: int, p: int, z, dps: int) -> tuple[int, int]:
-    # (2p (A_n(z) - I_n(z)) 2**F, F) at the scale for dps digits.
+    # (2p (A_n(z) - I_n(z)) 2**F, F) at the scale for dps digits.  The
+    # reference first: a series that cannot converge raises at once, before
+    # the I assembly works at the bits of e**|z|.
     F = _scale(dps, n, p, *_man_exp(z))
-    return _approx_fixed(kind, n, p, z, F) - 2 * p * _ref_fixed(kind, n, z, F), F
+    ref = _ref_fixed(kind, n, z, F)
+    return _approx_fixed(kind, n, p, z, F) - 2 * p * ref, F
 
 
 def _to_mpf(value: int, F: int, divisor: int, dps: int) -> mp.mpf:
@@ -318,7 +331,9 @@ def hp_approx(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     ``dps`` for that loss on top of the digits they need.
     A call costs p paired transcendentals, one per argument z, c_k z.  For I
     the values are carried relative to e**|z|, which every term may carry,
-    so that large |z| costs no more bits than small.
+    so that large |z| costs no more bits than small; but e**|z| itself is
+    one integer of about 1.44 |z| bits, so for I a |z| past 1e7
+    (``_I_TWIN_Z_MAX``) raises ``ValueError``.  J takes any finite z.
     """
     zz, man, exp = _twin_argument(kind, n, p, z, dps)
     F = _scale(dps, n, p, man, exp) - (0 if kind == "J" else _e_bits(man, exp))
@@ -344,7 +359,10 @@ def hp_error(kind: str, n: int, p: int, z, dps: int = 50) -> mp.mpf:
     """Signed construction error approx - reference, in wide arithmetic.
 
     Both twins are carried at one fixed-point scale and subtracted as
-    integers, so only the difference is rounded to ``dps`` digits.
+    integers, so only the difference is rounded to ``dps`` digits.  The
+    reference is summed first, so that a series past its ``_REF_MAX_TERMS``
+    raises its ``ValueError`` before the approximant is built; the I
+    approximant's own ceiling (see hp_approx) follows.
     """
     zz, _, _ = _twin_argument(kind, n, p, z, dps)
     diff, F = _error_fixed(kind, n, p, zz, dps)

@@ -29,7 +29,7 @@ evaluated by the cheapest of three paths that is well-conditioned there:
 
 * the series, summed by term ratios: positive for I, alternating for J and
   accepted only while its condition number sum|t| / |sum t| stays small;
-* the cached plan below, the assembly itself, which cancels between its
+* the plan below, the assembly itself, which cancels between its
   negative powers of z for n >= 2 as z -> 0 (for I below about |z| = n**2/7);
 * for J where neither is well-conditioned, the node sum itself: each node
   at or above the turning point c_k |z| >= n - 1 takes j_{n-1}(c_k z) by
@@ -48,18 +48,18 @@ without running the bound.
 
 Every kernel of the order-n assembly is taken at the same p arguments z and
 c_k z; only the parity and the node weights 2 c_k**q change from term to
-term.  Each (kind, n, p) is therefore compiled once into a cached plan, and
+term.  Each (kind, n, p) is therefore compiled once into a plan, and
 evaluating it takes one sinh/cosh (sin/cos) pair per argument.  The plan is
 run by straight-line code generated once per p, with the nodes as literals
 and one statement per node term; it runs the same Horner recurrence, in the
 same order, as summing each kernel_q on its own (one sinh/cosh per term
 and node), so its results equal that per-term form bit for bit.
 
-Everything a point needs is one route record per (kind, n, p) (_Route): the
-series' lead and ratios, the plan's runner and rows, and for J the bound's
-terms and thresholds.  It is built on the first point of its (kind, n, p)
-and found by one dict lookup on the request's own fields, and evaluate runs
-the plan from it inline, as _assemble runs it.
+Everything a point needs is one route record per (kind, n, p) (_Route), the
+plan's only home: the series' lead and ratios, the plan's runner and rows,
+and for J the bound's terms and thresholds.  It is built on the first point
+of its (kind, n, p) and found by one dict lookup in _ROUTES on the request's
+own fields, and evaluate runs the plan from it inline.
 
 The argument rules for (kind, n, p, z) are raised here alone (_validate_*):
 ApproxRequest applies them once, when it is built, evaluate trusts what it
@@ -222,22 +222,6 @@ def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
                  for q, coeff in enumerate(derive_expansion(n), 1))
 
 
-class _Plan(NamedTuple):
-    """One coefficient list compiled against one node set.
-
-    ``steps`` holds, per term in ascending q: whether it is sinh-like (odd
-    q), its coefficient as a float and its node weights 2 c_k**q.
-    ``odd``/``even`` are the sinh-like and cosh-like functions, or None
-    where no term uses that parity; ``run`` is the runner for the plan's p
-    (see _runner).
-    """
-
-    run: Callable[..., float]
-    odd: Callable[[float], float] | None
-    even: Callable[[float], float] | None
-    steps: tuple[tuple[bool, float, tuple[float, ...]], ...]
-
-
 @lru_cache(maxsize=None)
 def _node_weights(p: int, q: int) -> tuple[float, ...]:
     # The node weights 2 c_k**q of the index-q kernel, shared by every n and
@@ -245,24 +229,20 @@ def _node_weights(p: int, q: int) -> tuple[float, ...]:
     return tuple(2.0 * _node_power(c, q) for c in make_nodes(p))
 
 
-def _compile(terms: Iterable[tuple[int, int]], p: int, *, trig: bool) -> _Plan:
-    # terms are (q, a(n, q)) in ascending q.
+def _compile(terms: Iterable[tuple[int, int]], p: int, *, trig: bool) -> tuple:
+    """The plan (run, odd, even, steps) of terms (q, a(n, q)) in ascending q.
+
+    ``steps`` holds, per term: whether it is sinh-like (odd q), its
+    coefficient as a float and its node weights 2 c_k**q.  ``odd``/``even``
+    are the sinh-like and cosh-like functions, or None where no term uses
+    that parity; ``run`` is the runner for p (see _runner).
+    """
     steps = tuple((q % 2 == 1, float(coeff), _node_weights(p, q)) for q, coeff in terms)
     sinh_like, cosh_like = (math.sin, math.cos) if trig else (math.sinh, math.cosh)
-    return _Plan(
-        run=_runner(p),
-        odd=sinh_like if any(odd for odd, _, _ in steps) else None,
-        even=cosh_like if not all(odd for odd, _, _ in steps) else None,
-        steps=steps,
-    )
-
-
-@lru_cache(maxsize=None)
-def _plan(n: int, p: int, trig: bool) -> _Plan:
-    # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0;
-    # _plan_value adds the constant 1.
-    terms = enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)]
-    return _compile(terms, p, trig=trig)
+    return (_runner(p),
+            sinh_like if any(odd for odd, _, _ in steps) else None,
+            cosh_like if not all(odd for odd, _, _ in steps) else None,
+            steps)
 
 
 @lru_cache(maxsize=None)
@@ -297,28 +277,15 @@ def _runner(p: int) -> Callable[..., float]:
     return namespace["run"]
 
 
-def _assemble(n: int, p: int, z: float, *, trig: bool) -> float:
-    """The plan's value at z, as evaluate takes it on the plan path."""
-    plan = _plan(n, p, trig)
-    run, odd, even, steps = plan
-    try:
-        acc = run(z, odd, even, steps)
-    except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
-        acc = math.inf
-    if not math.isfinite(acc):
-        return _rescaled_plan_value(plan, n, p, z)
-    if n == 0:
-        return (1.0 + acc) / (2 * p)
-    return acc / (2 * p)
-
-
-def _term_bounds(plan: _Plan) -> tuple[float, ...]:
+def _term_bounds(steps: tuple) -> tuple[float, ...]:
     # |a(n, q)| (1 + sum_k 2 c_k**q) per term in plan order: the largest
     # |coeff * kernel_q| over transcendentals of magnitude at most 1.
-    return tuple(abs(coeff) * (1.0 + sum(row)) for _, coeff, row in plan.steps)
+    return tuple(abs(coeff) * (1.0 + sum(row)) for _, coeff, row in steps)
 
 
-def _rescaled_plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
+def _rescaled_plan_value(run: Callable[..., float], odd: Callable[[float], float] | None,
+                         even: Callable[[float], float] | None, steps: tuple,
+                         n: int, p: int, z: float) -> float:
     """The plan's value where running it overflowed: the same runner over
     sinh/cosh (sin/cos) scaled by an exact 2**-m, scaled back by 2**m.
 
@@ -328,8 +295,7 @@ def _rescaled_plan_value(plan: _Plan, n: int, p: int, z: float) -> float:
     Only a transcendental that overflows itself, or a value beyond binary64,
     raises.
     """
-    run, odd, even, steps = plan
-    m = math.frexp(len(steps) * max(_term_bounds(plan)))[1]
+    m = math.frexp(len(steps) * max(_term_bounds(steps)))[1]
     scale = math.ldexp(1.0, -m)
 
     def scaled(f: Callable[[float], float] | None) -> Callable[[float], float] | None:
@@ -432,8 +398,8 @@ class _Route(NamedTuple):
     The series takes |z| below ``series_below``, at least the forced-series
     threshold 0.25 (n + 1), from ``lead`` and ``ratios`` (see _series), and
     the plan the rest: ``run``, ``odd``, ``even`` and ``steps`` are the
-    fields of _plan(n, p, trig), held here so that evaluate runs the plan
-    from this record alone.  For J with n >= 2, ``bound`` holds |a(n, q)|
+    plan of a(n, q) (see _compile), compiled for this record alone, which
+    evaluate runs.  For J with n >= 2, ``bound`` holds |a(n, q)|
     (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z|
     (_bound_size) bounds the plan's terms; the plan is tried from |z| =
     ``z_reach`` on, the least |z| at which that bound is at most _COND_MAX
@@ -526,7 +492,10 @@ def _build_route(n: int, p: int, trig: bool) -> _Route:
     try:
         lead, ratios = _series(n, p)
         lead * series_reach**n  # the series' first term at its reach
-        plan = _plan(n, p, trig)
+        # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at
+        # q = 0; evaluate adds the constant 1.
+        plan = _compile(enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)],
+                        p, trig=trig)
     except OverflowError as exc:
         # w(n) / (2n-1)!!, a(n, q) or the series' first term at its reach
         # beyond binary64: every n from 109, whose reach is the edge of cosh.
@@ -542,7 +511,7 @@ def _build_route(n: int, p: int, trig: bool) -> _Route:
     below = min(max(_crossover(n, p), _forced_series_below(n)), 6.0 + 0.45 * n)
     if n < 2:
         return _Route(below, lead, ratios, *plan, (), 0.0, 0.0)
-    bound = _term_bounds(plan)
+    bound = _term_bounds(plan[3])
     # |A_n| <= (1 + sum_k 2 c_k**n) / 2p times the largest |x j_{n-1}(x)|,
     # taken as 2.
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
@@ -705,7 +674,8 @@ def evaluate(req: ApproxRequest) -> float:
     n >= 2 the plan only from the route's z_reach on, where its Horner
     bound is within reach, and only where that bound stays within the
     condition limit of the result, else the node sum by recurrence.  The
-    route is one dict lookup, and the plan runs here, as _assemble runs it.
+    route is one dict lookup, and the plan runs here from the route's fields,
+    rescaled from the same fields where the run overflows.
     """
     n, p, z, kind = req.n, req.p, req.z, req.kind
     try:
@@ -730,7 +700,7 @@ def evaluate(req: ApproxRequest) -> float:
     except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
         acc = math.inf
     if not math.isfinite(acc):
-        value = _rescaled_plan_value(_plan(n, p, kind == "J"), n, p, z)
+        value = _rescaled_plan_value(run, odd, even, steps, n, p, z)
     elif n == 0:
         value = (1.0 + acc) / (2 * p)
     else:

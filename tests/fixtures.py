@@ -2,7 +2,9 @@
 
 None is part of the package: ``kernel_sinh``/``kernel_cosh``/``kernel_sin``/
 ``kernel_cos`` are the per-term kernel sums, one transcendental per node
-and term, that the compiled plan must equal bit for bit; ``closed_form_p2``
+and term, that the compiled plan must equal bit for bit; ``plan_value`` is
+the plan's value as evaluate takes it on the plan path, from a plan compiled
+afresh rather than read from a route; ``closed_form_p2``
 keeps the printed two-node closed forms as literals, ``_approx_J_complex``
 reaches J by rotating the hyperbolic assembly in complex arithmetic,
 without the plan's sign pattern, and ``hp_approx_per_term``/
@@ -30,7 +32,8 @@ from typing import Callable
 import mpmath as mp
 
 from besselhyp.analysis import _twin_argument
-from besselhyp.approximation import _compile, _j_term_sign, _node_power, make_nodes
+from besselhyp.approximation import (_compile, _j_term_sign, _node_power, _rescaled_plan_value,
+                                     _signed_expansion, make_nodes)
 from besselhyp.coefficients import derive_expansion
 from besselhyp.reference import _MAX_TERMS, _TOL, _leading_term, _validate
 
@@ -86,6 +89,24 @@ def kernel_cos(q: int, nodes: tuple[float, ...], z: float) -> float:
         raise ValueError(f"cos kernel index must be >= 0, got {q}")
     _require_finite(z)
     return _weighted_sum(math.cos, q, nodes, z)
+
+
+def plan_value(n: int, p: int, z: float, *, trig: bool) -> float:
+    """The order-n plan's value at z, as evaluate takes it on the plan path:
+    the runner, rescaled where it overflows, the order-0 constant, and the
+    division by 2p.  For n >= 2 at z = 0 it divides by zero."""
+    # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0.
+    terms = enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)]
+    run, odd, even, steps = _compile(terms, p, trig=trig)
+    try:
+        acc = run(z, odd, even, steps)
+    except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
+        acc = math.inf
+    if not math.isfinite(acc):
+        return _rescaled_plan_value(run, odd, even, steps, n, p, z)
+    if n == 0:
+        return (1.0 + acc) / (2 * p)
+    return acc / (2 * p)
 
 
 # Printed two-node closed forms, hard-coded rather than derived, so they can

@@ -25,8 +25,7 @@ from besselhyp.analysis import (
     fit_error_slope,
     hp_error,
 )
-from besselhyp.approximation import _assemble
-from fixtures import N_MAX_TESTED, _approx_J_complex, closed_form_p2
+from fixtures import N_MAX_TESTED, _approx_J_complex, closed_form_p2, plan_value
 
 # Two-significant-figure relative-error targets for the p=2 grid.
 EXPECTED_REL_ERRORS = {
@@ -168,7 +167,7 @@ def test_criterion_8_circular_variant_consistency():
             if n >= 4 * p:
                 continue
             for z in (0.5, 1.0, 2.0, 4.0):
-                real_path = _assemble(n, p, z, trig=True)
+                real_path = plan_value(n, p, z, trig=True)
                 rotated = _approx_J_complex(n, p, z)
                 rel = abs(rotated.real - real_path) / abs(real_path)
                 worst_complex = max(worst_complex, rel)
@@ -191,7 +190,7 @@ def test_criterion_9_order3_closed_form_lock():
     worst = 0.0
     for i in range(20):
         z = 0.5 + (6.0 - 0.5) * i / 19
-        assembled = _assemble(3, 2, z, trig=False)
+        assembled = plan_value(3, 2, z, trig=False)
         literal = closed_form_p2(3, z)
         worst = max(worst, abs(assembled - literal) / abs(literal))
     ok = worst <= 1e-14

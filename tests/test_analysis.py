@@ -25,8 +25,8 @@ from besselhyp.analysis import (
     hp_ref,
     node_power_sum,
 )
-from besselhyp.approximation import DomainError, _assemble
-from fixtures import hp_approx_mpf, hp_approx_per_term, hp_ref_mpf_loop
+from besselhyp.approximation import DomainError
+from fixtures import hp_approx_mpf, hp_approx_per_term, hp_ref_mpf_loop, plan_value
 
 
 class TestNodePowerSum:
@@ -143,7 +143,7 @@ class TestHighPrecisionTwins:
     @pytest.mark.parametrize("kind", ["I", "J"])
     @pytest.mark.parametrize("n,p,z", [(0, 2, 1.0), (2, 2, 2.0), (3, 2, 4.0), (5, 3, 2.0)])
     def test_hp_approx_matches_binary64(self, kind, n, p, z):
-        binary64 = _assemble(n, p, z, trig=kind == "J")
+        binary64 = plan_value(n, p, z, trig=kind == "J")
         wide = float(hp_approx(kind, n, p, z, dps=40))
         assert binary64 == pytest.approx(wide, rel=1e-11)
 
@@ -225,6 +225,34 @@ class TestHighPrecisionTwins:
         # Past the term cap the sum would be a truncated, meaningless number.
         with pytest.raises(ValueError, match="converge"):
             hp_ref(kind, n, z, dps=20)
+
+    @pytest.mark.parametrize("z", [1e7 * (1 + 2**-52), -2e7, 1e8, 1e12, 1e20, -1e20, 10**400])
+    def test_i_assembly_past_its_ceiling_raises(self, z):
+        # e**|z| would be one integer of 1.44|z| bits: 112 MB at 1e8, a
+        # MemoryError at 1e12 and a raw OverflowError at 1e20.
+        with pytest.raises(ValueError, match=r"the wide I twin takes \|z\| <= 1e\+07"):
+            hp_approx("I", 2, 2, z, dps=20)
+
+    def test_i_assembly_at_its_ceiling_and_j_past_it(self):
+        # A_0 = (1 + cosh z) / 2 at p = 1; J has no ceiling.
+        with mp.workdps(30):
+            want = (1 + mp.cosh(mp.mpf(1e7))) / 2
+            assert abs(hp_approx("I", 0, 1, 1e7, dps=20) - want) <= mp.mpf("1e-19") * want
+        assert abs(hp_approx("J", 2, 2, 1e20, dps=20)) < 1
+
+    def test_hp_error_takes_the_reference_first(self, monkeypatch):
+        # A series that cannot converge raises before the approximant is
+        # built at the bits of e**|z|: that took seconds at 1e5 and minutes
+        # at 1e6.
+        def never(*args):
+            raise AssertionError("the approximant was built")
+
+        monkeypatch.setattr(analysis, "_approx_fixed", never)
+        for z in (1e5, -1e6, 1e20, 1e7 * (1 + 2**-52)):
+            with pytest.raises(ValueError, match="does not converge"):
+                hp_error("I", 2, 2, z, dps=20)
+        with pytest.raises(ValueError, match="does not converge"):
+            fit_error_slope("I", 2, 2, z_lo=1e4, z_hi=1e6, samples=3)
 
 
 #: Arguments cycled over the orders, from the cancellation-heavy 0.5 up.

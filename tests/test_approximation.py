@@ -18,7 +18,6 @@ from besselhyp import (
 from besselhyp.analysis import hp_approx
 from besselhyp import approximation
 from besselhyp.approximation import (
-    _assemble,
     _group,
     _group_sum,
     _node_sum,
@@ -26,7 +25,7 @@ from besselhyp.approximation import (
     _route,
     _spherical_j,
 )
-from fixtures import _approx_J_complex, closed_form_p2, spherical_approximant
+from fixtures import _approx_J_complex, closed_form_p2, plan_value, spherical_approximant
 
 
 def _near_approximant(value, kind, n, p, z, tol=1e-13):
@@ -204,7 +203,7 @@ class TestApproxJ:
     @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(4 * p)])
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
     def test_complex_path_consistency(self, n, p, z):
-        real_path = _assemble(n, p, z, trig=True)
+        real_path = plan_value(n, p, z, trig=True)
         rotated = _approx_J_complex(n, p, z)
         assert rotated.imag == 0.0
         assert rotated.real == pytest.approx(real_path, rel=1e-12)
@@ -249,7 +248,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("z", [0.25, 0.5, 1.0, 2.0, 4.0, 6.0])
     def test_agrees_with_assembly(self, n, z):
-        assert closed_form_p2(n, z) == _assemble(n, 2, z, trig=False)
+        assert closed_form_p2(n, z) == plan_value(n, 2, z, trig=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):

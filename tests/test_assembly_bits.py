@@ -3,32 +3,36 @@
 ``kernel_assemble`` below keeps the kernel-sum assembly as a literal
 fixture, the way ``closed_form_p2`` keeps the printed two-node forms: one
 ``kernel_*`` call (from ``fixtures``) per term, each taking its own
-sinh/cosh (sin/cos) values and node powers.  The cached plans behind
-``_assemble`` take each transcendental once per argument but must add and
-multiply in the same order, so wherever the fixture is finite the two agree
-to the last bit.  Where only the fixture's Horner sum overflows, the
-fixture over kernels scaled by an exact 2**-m, scaled back by 2**m, is what
-the assembly must return bit for bit; where a kernel itself overflows
-(``inf`` or a raised OverflowError), the assembly raises
-Binary64OverflowError.
+sinh/cosh (sin/cos) values and node powers.  The plan, compiled afresh
+and run by ``plan_value`` (from ``fixtures``), takes each transcendental
+once per argument but must add and multiply in the same order, so wherever
+the fixture is finite the two agree to the last bit.  Where only the
+fixture's Horner sum overflows, the fixture over kernels scaled by an exact
+2**-m, scaled back by 2**m, is what the assembly must return bit for bit;
+where a kernel itself overflows (``inf`` or a raised OverflowError), the
+assembly raises Binary64OverflowError.  evaluate, running the plan that
+its route record holds, must give ``plan_value``'s bits.  The route record
+is the plan's only home: no other cache of the package holds
+per-(kind, n, p) state.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from besselhyp import ApproxRequest, Binary64OverflowError, derive_expansion, evaluate, make_nodes
+from besselhyp import approximation
 from besselhyp.approximation import (
-    _assemble,
     _bound_size,
     _j_term_sign,
     _node_weights,
-    _plan,
     _route,
     _runner,
     _sum_series,
 )
-from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
+from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, plan_value
 
 # Negative and fractional arguments, the cancellation region near zero, and
 # both sides of the binary64 edge of sinh/cosh (about 710.48).
@@ -93,23 +97,22 @@ def test_plan_matches_kernel_loop(p, trig):
                 want = _fixture(n, p, z, trig, m=_scale_exponent(n, p))
                 rescaled += math.isfinite(want)
             if math.isfinite(want):
-                assert _assemble(n, p, z, trig=trig).hex() == want.hex(), (n, p, z)
+                assert plan_value(n, p, z, trig=trig).hex() == want.hex(), (n, p, z)
             else:
                 overflowed += 1
                 assert abs(z) > 710.4, (n, p, z)  # beyond the edge of cosh
                 with pytest.raises(Binary64OverflowError):
-                    _assemble(n, p, z, trig=trig)
+                    plan_value(n, p, z, trig=trig)
     if not trig:
         assert overflowed  # the grid reaches the binary64 edge
         assert rescaled  # and values whose Horner sum alone overflows
 
 
-def _runner_overflows(n, p, z, trig):
-    # Whether the plan's runner itself leaves binary64, so that the value is
+def _runner_overflows(route, z):
+    # Whether the route's runner itself leaves binary64, so that the value is
     # the rescaled run's.
-    run, odd, even, steps = _plan(n, p, trig)
     try:
-        return not math.isfinite(run(z, odd, even, steps))
+        return not math.isfinite(route.run(z, route.odd, route.even, route.steps))
     except OverflowError:
         return True
 
@@ -118,9 +121,9 @@ def _runner_overflows(n, p, z, trig):
 @pytest.mark.parametrize("kind", "IJ")
 def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
     # evaluate runs the plan inline from its route record: wherever it takes
-    # the plan, its value is _assemble's to the last bit, the rescaled band
-    # below the edge of cosh included, and past the edge it raises as
-    # _assemble does.
+    # the plan, its value is that of a plan compiled afresh (plan_value) to
+    # the last bit, the rescaled band below the edge of cosh included, and
+    # past the edge it raises as plan_value does.
     trig = kind == "J"
     taken = rescaled = raised = 0
     for n in range(4 * p):
@@ -133,7 +136,7 @@ def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
             if route.bound and az < route.z_reach:
                 continue  # the node sum, without the plan
             try:
-                want = _assemble(n, p, z, trig=trig)
+                want = plan_value(n, p, z, trig=trig)
             except Binary64OverflowError:
                 raised += 1
                 with pytest.raises(Binary64OverflowError):
@@ -142,7 +145,7 @@ def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
             if route.bound and _bound_size(route.bound, az) > route.limit * abs(want):
                 continue  # the plan refused: the node sum
             taken += 1
-            rescaled += _runner_overflows(n, p, z, trig)
+            rescaled += _runner_overflows(route, z)
             assert evaluate(ApproxRequest(kind, n, p, z)).hex() == want.hex(), (n, z)
     assert taken
     if not trig:
@@ -153,14 +156,14 @@ def test_zero_argument_still_divides_by_zero():
     with pytest.raises(ZeroDivisionError):
         kernel_assemble(2, 2, 0.0, trig=False)
     with pytest.raises(ZeroDivisionError):
-        _assemble(2, 2, 0.0, trig=False)
+        plan_value(2, 2, 0.0, trig=False)
 
 
 def test_weight_rows_are_shared_across_orders_and_kinds():
     rows = {q: _node_weights(5, q) for q in range(1, 20)}
     for n in range(1, 20):
-        for trig in (False, True):
-            steps = _plan(n, 5, trig).steps
+        for kind in "IJ":
+            steps = _route(n, 5, kind).steps
             for (_, _, row), q in zip(steps, range(1, n + 1), strict=True):
                 assert row is rows[q]
 
@@ -170,7 +173,7 @@ def test_plan_builds_only_the_rows_it_uses():
     # q < 4p at once.
     p = 1009
     before = _node_weights.cache_info().currsize
-    _assemble(2, p, 1.5, trig=False)
+    _route(2, p, "I")
     assert _node_weights.cache_info().currsize - before == 2
     assert len(_node_weights(p, 1)) == p - 1
 
@@ -182,15 +185,30 @@ def test_runner_at_thousands_of_nodes(trig):
     p = 4096
     for z in (-3.7, 0.31, 2.5, 40.0):
         want = kernel_assemble(2, p, z, trig=trig)
-        assert _assemble(2, p, z, trig=trig).hex() == want.hex(), z
+        assert plan_value(2, p, z, trig=trig).hex() == want.hex(), z
 
 
 def test_one_runner_per_p():
-    # Every plan at one p shares one runner; none is built per (kind, n).
+    # Every route at one p shares one runner; none is built per (kind, n).
     before = _runner.cache_info().misses
     runners = {
-        p: {_plan(n, p, trig).run for n in range(4 * p) for trig in (False, True)}
+        p: {_route(n, p, kind).run for n in range(4 * p) for kind in "IJ"}
         for p in (21, 22)
     }
     assert runners == {p: {_runner(p)} for p in (21, 22)}
     assert _runner.cache_info().misses - before <= 2
+
+
+def test_one_cache_per_route():
+    # The per-(kind, n, p) state lives in _ROUTES alone: no lru_cache of the
+    # module is keyed by both p and the kind (kind or trig).
+    tree = ast.parse(Path(approximation.__file__).read_text())
+    cached = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and any(
+                "lru_cache" in ast.unparse(d) for d in node.decorator_list):
+            cached[node.name] = {a.arg for a in node.args.args + node.args.kwonlyargs}
+    assert "_runner" in cached and "_signed_expansion" in cached  # the walk sees them
+    keyed_by_route = [name for name, args in cached.items()
+                      if "p" in args and args & {"kind", "trig"}]
+    assert keyed_by_route == []

@@ -12,7 +12,7 @@ from besselhyp import (
     double_factorial,
     recurrence_table,
 )
-from besselhyp.approximation import _plan
+from besselhyp.approximation import _route
 from fixtures import N_MAX_TESTED
 
 # Printed expansions for orders 1..4: a(n, q) for q = 1..n.
@@ -52,7 +52,7 @@ class TestDeriveExpansion:
         assert type(coeffs) is tuple and len(coeffs) == n
         assert all(type(c) is int for c in coeffs)
         assert coeffs[-1] == 1
-        steps = _plan(n, 8, False).steps
+        steps = _route(n, 8, "I").steps
         assert [odd for odd, _, _ in steps] == [q % 2 == 1 for q in range(1, n + 1)]
 
     @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))

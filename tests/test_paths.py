@@ -28,7 +28,6 @@ from besselhyp.approximation import (
     _node_sum,
     _node_terms,
     _node_weights,
-    _plan,
     _route,
     _series,
     _series_reach,
@@ -92,8 +91,8 @@ def test_order0_rescaled_near_the_overflow_edge(p, z):
     # A_0, about 3e306, fits: the plan runs again scaled, constant included.
     # The reference is the averaged cosh itself, since the per-term kernel
     # sums overflow as the plan does.
-    plan = _plan(0, p, False)
-    assert plan.run(z, plan.odd, plan.even, plan.steps) == math.inf
+    route = _route(0, p, "I")
+    assert route.run(z, route.odd, route.even, route.steps) == math.inf
     got = evaluate(ApproxRequest("I", 0, p, z))
     with mp.workdps(50):
         zz = mp.mpf(z)

@@ -280,17 +280,22 @@ def _ref_fixed(kind: str, n: int, z, F: int) -> int:
     ``ValueError``.
     """
     man, exp = _man_exp(z)
-    # (z/2)**n / n! < 2**lead
-    lead = n * (exp - 1 + man.bit_length()) - factorial(n).bit_length() + 1
-    bits = F + max(0, lead)
-    one = 1 << bits
     sq, drop = man * man, 2 - 2 * exp  # (z/2)**2 = sq 2**-drop
-    if drop < 0:
-        sq, drop = sq << -drop, 0
-    term = total = one
     # Terms grow while (z/2)**2 > k (n + k); if they still grow at the cap,
-    # the series cannot converge before it.
-    if sq >> drop < _REF_MAX_TERMS * (n + _REF_MAX_TERMS):
+    # the series cannot converge before it.  With |z| < 2**mag (z = 0 has
+    # mag 0), 2**(2 mag - 4) <= (z/2)**2 < 2**(2 mag - 2): the exponent
+    # settles the test before any integer of log|z| bits is built, save
+    # within two octaves of the cap, where |z| is small and it is exact.
+    cap = _REF_MAX_TERMS * (n + _REF_MAX_TERMS)
+    twice_mag = 2 * (exp + man.bit_length())
+    if twice_mag - 2 < cap.bit_length() or (twice_mag - 4 < cap.bit_length()
+                                             and _shift(sq, -drop) < cap):
+        if drop < 0:
+            sq, drop = sq << -drop, 0
+        # (z/2)**n / n! < 2**lead
+        lead = n * (exp - 1 + man.bit_length()) - factorial(n).bit_length() + 1
+        bits = F + max(0, lead)
+        term = total = 1 << bits
         alternating = kind == "J"
         for k in range(1, _REF_MAX_TERMS):
             term = (term * sq >> drop) // (k * (n + k))

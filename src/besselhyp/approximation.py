@@ -88,10 +88,9 @@ class Binary64OverflowError(DomainError, OverflowError):
 
     Raised where sinh/cosh themselves overflow, for I above about
     |z| = 710.48, or where the value itself does; and for every argument of
-    an order whose series or plan coefficients do not fit in binary64.
-    Every order from n = 109 is one: the power z**n at the series' reach,
-    the edge of cosh |z| = 710.48 there, passes 1e308.  It is also an
-    OverflowError, which is what the hyperbolic functions themselves raise.
+    an order past _ORDER_MAX, 108, whose z**n at the edge of cosh passes
+    1e308: such an order is refused before any table of it is built.  It is
+    also an OverflowError, which is what the hyperbolic functions raise.
     """
 
 
@@ -327,6 +326,10 @@ _SERIES_Z_MAX = 40.0
 #: The edge of cosh, about 710.48: I takes no series past it, so its
 #: positive terms, each below their sum, never reach inf.
 _COSH_EDGE = math.acosh(sys.float_info.max)
+#: The last order a route admits, 108: the largest n for which z**n fits in
+#: binary64 at the series' reach, at most just past the edge of cosh.  The
+#: series takes only |z| below it, so az**n in _sum_series always fits.
+_ORDER_MAX = int(math.log(sys.float_info.max) / math.log(math.nextafter(_COSH_EDGE, math.inf)))
 
 
 def _series_count(reach: float) -> int:
@@ -367,11 +370,13 @@ def _trapezoid_weights(p: int) -> tuple[float, ...]:
     # column of d = 2pj starting at m = d as C(2d, 0) = 1, and each entry is
     # one correctly rounded int/int division.  w(0) = 1 because the order-0
     # approximant adds its constant 1 on top of the kernel.  As many as the
-    # longest table of this p, that of n = 4p - 1, reads.
+    # table of this p's last admitted order reads: the reach, and so the
+    # term count, never falls as n grows, so it covers every smaller order.
+    last = min(4 * p - 1, _ORDER_MAX)
     central = 1  # C(2m, m)
     aliased: dict[int, int] = {}  # d -> C(2m, m - d)
     weights = [1.0]
-    for m in range(1, 4 * p + _series_count(_series_reach(4 * p - 1, p))):
+    for m in range(1, last + 1 + _series_count(_series_reach(last, p))):
         central = central * (4 * m - 2) // m
         aliased = {d: c * ((4 * m - 2) * m) // ((m - d) * (m + d))
                    for d, c in aliased.items()}
@@ -488,22 +493,15 @@ def _route(n: int, p: int, kind: str) -> _Route:
 
 
 def _build_route(n: int, p: int, trig: bool) -> _Route:
-    series_reach = _series_reach(n, p)
-    try:
-        lead, ratios = _series(n, p)
-        lead * series_reach**n  # the series' first term at its reach
-        # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at
-        # q = 0; evaluate adds the constant 1.
-        plan = _compile(enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)],
-                        p, trig=trig)
-    except OverflowError as exc:
-        # w(n) / (2n-1)!!, a(n, q) or the series' first term at its reach
-        # beyond binary64: every n from 109, whose reach is the edge of cosh.
-        # Checked once per (kind, n, p), never per point: the series takes
-        # only |z| below its reach, so |z|**n fits wherever reach**n does.
+    if n > _ORDER_MAX:  # refused before anything is built (see _ORDER_MAX)
         raise Binary64OverflowError(
-            f"order n={n} at p={p} needs coefficients beyond binary64 range"
-        ) from exc
+            f"order n={n} at p={p} needs coefficients beyond binary64 range")
+    series_reach = _series_reach(n, p)
+    lead, ratios = _series(n, p)
+    # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0;
+    # evaluate adds the constant 1.
+    plan = _compile(enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)],
+                    p, trig=trig)
     if not trig:
         return _Route(series_reach, lead, ratios, *plan, (), 0.0, 0.0)
     # The alternating series is well-conditioned below the forced-series
@@ -562,9 +560,9 @@ def _span(m: int) -> int:
 #: The factors 2l + 1 of the spherical Bessel recurrences as floats, l = 0,
 #: 1, ...: each converts exactly, so a step over them rounds as a step over
 #: ints does, without the conversion.  They reach the top order m + _span(m)
-#: of the node sum at m = 107 (n = 108, the last order _route admits), and
+#: of the node sum at the last order a route admits, m = _ORDER_MAX - 1, and
 #: _node_terms checks that they reach that of each node sum it sets up.
-_ODD = tuple(float(2 * l + 1) for l in range(107 + _span(107) + 1))
+_ODD = tuple(float(2 * l + 1) for l in range(_ORDER_MAX + _span(_ORDER_MAX - 1)))
 
 
 def _spherical_j(m: int, x: float) -> float:

@@ -199,6 +199,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    if not args.tol >= 0.0:  # nan too: no residual would exceed it
+        raise ValueError(f"tolerance must be a number >= 0, got {args.tol}")
     ps = sorted(set(_parse_ints(args.p)))
     zs = _parse_floats(args.z)
     rows: list[tuple[str, str, float]] = []

@@ -1,6 +1,7 @@
 """Series extraction and high-precision twin tests."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -253,6 +254,25 @@ class TestHighPrecisionTwins:
                 hp_error("I", 2, 2, z, dps=20)
         with pytest.raises(ValueError, match="does not converge"):
             fit_error_slope("I", 2, 2, z_lo=1e4, z_hi=1e6, samples=3)
+
+    @pytest.mark.parametrize("twin", ["hp_ref", "hp_error"])
+    @pytest.mark.parametrize("z", ["1e3000000", "1e30000000", "-1e30000000"])
+    def test_huge_exponent_is_refused_before_its_integers(self, twin, z):
+        # The convergence pre-test reads the exponent before the series
+        # builds integers of about n log2|z| bits: those cost 53 MB at
+        # 1e30000000 for hp_ref and 80 MB for hp_error.
+        zz = mp.mpf(z)
+        call = {"hp_ref": lambda: hp_ref("I", 2, zz, dps=20),
+                "hp_error": lambda: hp_error("I", 2, 2, zz, dps=20)}[twin]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the I_2 series at z=\S+ does not "
+                                                 r"converge within 1000 terms$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 #: Arguments cycled over the orders, from the cancellation-heavy 0.5 up.

@@ -455,6 +455,20 @@ class TestIdentities:
         assert code == EXIT_CONSISTENCY
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "-0.0001"])
+    def test_tolerance_below_zero_or_nan_is_usage_error(self, capsys, tol):
+        # nan would switch the check off (no residual exceeds it), and a
+        # negative tolerance would fail every residual as inconsistent.
+        code, out, err = run(capsys, "identities", f"--tol={tol}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "tolerance must be a number >= 0" in err
+
+    def test_infinite_tolerance_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "identities", "--tol", "inf")
+        assert code == EXIT_OK
+        assert out.startswith("identity,p,max_abs_residual")
+
     def test_tail_past_the_oracle_is_usage_error(self, capsys):
         code, out, err = run(capsys, "identities", "-p", "17")
         assert code == EXIT_USAGE

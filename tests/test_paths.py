@@ -16,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from besselhyp import ApproxRequest, Binary64OverflowError, evaluate
+from besselhyp import ApproxRequest, Binary64OverflowError, approximation, evaluate
 from besselhyp.analysis import approximant_series_coeff, node_power_sum
 from besselhyp.approximation import (
     _COND_MAX,
     _COSH_EDGE,
     _ODD,
+    _ORDER_MAX,
     _group,
     _group_sum,
     _multiplication_coeffs,
@@ -129,7 +130,7 @@ def test_weights_match_the_exact_series(p):
 @pytest.mark.parametrize("p", [40, 2000])
 def test_weights_correctly_rounded_at_large_p(p):
     # About 40 entries, both ends included, of tables far longer than the
-    # grid's (8500 entries at p = 2000).
+    # grid's (609 entries at p = 2000).
     last = len(_trapezoid_weights(p)) - 1
     assert _unrounded_weights(p, sorted({1, last, *range(1, last, last // 38)})) == []
 
@@ -170,6 +171,59 @@ def test_float_factors_reach_every_admitted_order():
     assert _ODD == tuple(float(2 * l + 1) for l in range(len(_ODD)))
     with pytest.raises(IndexError):
         _node_terms(len(_ODD), 40)
+
+
+def test_last_order_is_the_last_power_in_binary64():
+    # _ORDER_MAX is the largest n for which z**n fits at the series' reach,
+    # at most just past the edge of cosh, and _ODD reaches the top order of
+    # the node sum at that order and no further.
+    reach = math.nextafter(_COSH_EDGE, math.inf)
+    assert math.isfinite(reach**_ORDER_MAX)
+    with pytest.raises(OverflowError):
+        reach ** (_ORDER_MAX + 1)
+    m = _ORDER_MAX - 1
+    assert len(_ODD) == m + _span(m) + 1
+    _node_terms(_ORDER_MAX, 40)
+    with pytest.raises(IndexError):
+        _node_terms(_ORDER_MAX + 1, 40)
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+def test_refused_order_builds_nothing(monkeypatch, kind):
+    # An order past _ORDER_MAX is refused before any table of it is built.
+    def never(*args, **kwargs):
+        raise AssertionError("a table of a refused order was built")
+
+    for name in ("_series", "_series_reach", "_trapezoid_weights", "_compile"):
+        monkeypatch.setattr(approximation, name, never)
+    for n, p in ((150, 40), (_ORDER_MAX + 1, 28), (4000, 2000)):
+        with pytest.raises(Binary64OverflowError,
+                           match=f"^order n={n} at p={p} needs coefficients beyond binary64 range$"):
+            _route(n, p, kind)
+        assert (n, p, kind) not in approximation._ROUTES
+    with pytest.raises(Binary64OverflowError, match="beyond binary64"):
+        evaluate(ApproxRequest(kind, 150, 40, 3.0))
+
+
+def test_weights_stop_at_the_last_order():
+    # From p = 28, where 4p - 1 first passes _ORDER_MAX, the table is that of
+    # _ORDER_MAX, the same length at every p, and it holds that order's series.
+    lengths = {len(_trapezoid_weights(p)) for p in (28, 29, 40, 2000)}
+    assert len(lengths) == 1
+    assert len(_trapezoid_weights(27)) < lengths.pop()
+    for p in (28, 40, 2000):
+        assert len(_series(_ORDER_MAX, p)[1]) > 0
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+def test_every_admitted_order_builds(kind):
+    # Up to _ORDER_MAX every table and coefficient of a route fits in
+    # binary64, at the fewest nodes the order allows and at p = 40.
+    for n in range(_ORDER_MAX + 1):
+        for p in (n // 4 + 1, 40):
+            route = _route(n, p, kind)
+            assert math.isfinite(route.lead) and route.ratios
+            assert all(math.isfinite(coeff) for _, coeff, _ in route.steps)
 
 
 def test_recurrences_keep_the_int_factor_bits():

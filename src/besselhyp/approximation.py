@@ -41,10 +41,8 @@ evaluated by the cheapest of three paths that is well-conditioned there:
   as the int factors would.
 
 For J with n >= 2 the plan is tried only where a Horner bound on its terms
-is at most _COND_MAX 2p times the largest |A_n|.  That bound never grows
-with |z|, even rounded, so this holds exactly from one |z| on, z_reach,
-found once per route (_z_reach); a point below it goes to the node sum
-without running the bound.
+is at most _COND_MAX 2p times the largest |A_n|, and a point where the
+bound exceeds that goes to the node sum without running the plan.
 
 Every kernel of the order-n assembly is taken at the same p arguments z and
 c_k z; only the parity and the node weights 2 c_k**q change from term to
@@ -405,12 +403,11 @@ class _Route(NamedTuple):
     the plan the rest: ``run``, ``odd``, ``even`` and ``steps`` are the
     plan of a(n, q) (see _compile), compiled for this record alone, which
     evaluate runs.  For J with n >= 2, ``bound`` holds |a(n, q)|
-    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z|
-    (_bound_size) bounds the plan's terms; the plan is tried from |z| =
-    ``z_reach`` on, the least |z| at which that bound is at most _COND_MAX
-    2p times the largest |A_n| (see _z_reach), and kept while the bound is
-    at most ``limit`` = _COND_MAX 2p times the result.  Below z_reach the node
-    sum takes the point without running the bound.
+    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z| bounds
+    the plan's terms; the plan is tried where that sum is at most
+    ``reach`` = _COND_MAX 2p times the largest |A_n|, and kept while it is
+    at most ``limit`` = _COND_MAX 2p times the result.  Where the sum
+    exceeds the reach the node sum takes the point without running the plan.
     """
 
     series_below: float
@@ -421,60 +418,8 @@ class _Route(NamedTuple):
     even: Callable[[float], float] | None
     steps: tuple[tuple[bool, float, tuple[float, ...]], ...]
     bound: tuple[float, ...]
-    z_reach: float
+    reach: float
     limit: float
-
-
-def _bound_size(bound: tuple[float, ...], az: float) -> float:
-    # The Horner sum of bound in 1/az, step by step as evaluate runs it.
-    size = 0.0
-    for m in bound:
-        size = size / az + m
-    return size
-
-
-def _z_reach(bound: tuple[float, ...], reach: float) -> float:
-    """The least az > 0 with _bound_size(bound, az) <= reach, or inf if none.
-
-    Every entry of bound is >= 0 and each rounded Horner step is monotone,
-    so the computed size never grows with az: it is at most reach exactly
-    from this az on.  Newton's method on log size against log az starts at
-    the single-term bound max_q (b_q / reach)**(1/(n-q)), where one term
-    alone reaches reach; log size is a convex, falling function of log az
-    there, so the iterates stay below the root and close in on it fast.
-    A bracket the rounded size itself confirms is then bisected down to
-    adjacent floats.
-    """
-    if _bound_size(bound, sys.float_info.max) > reach:
-        return math.inf
-    n = len(bound)
-    az = max((b / reach) ** (1.0 / (n - q)) for q, b in enumerate(bound[:-1], 1))
-    for _ in range(20):
-        # size and its derivative in u = 1/az, by Horner.
-        u = 1.0 / az
-        size = slope = 0.0
-        for b in bound:
-            slope = slope * u + size
-            size = size * u + b
-        step = math.log(size / reach) * size / (u * slope)
-        az *= math.exp(step)
-        if abs(step) < 2.0 ** -40:
-            break
-    lo = hi = az
-    d = az * 2.0 ** -50
-    while _bound_size(bound, lo) <= reach:
-        lo = max(lo - d, 0.5 * lo)
-        d += d
-    d = az * 2.0 ** -50
-    while _bound_size(bound, hi) > reach:
-        hi = min(hi + d, sys.float_info.max)
-        d += d
-    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
-        if _bound_size(bound, mid) > reach:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 #: The route of every (n, p, kind) met so far, keyed as ApproxRequest holds
@@ -513,8 +458,7 @@ def _build_route(n: int, p: int, trig: bool) -> _Route:
     # |A_n| <= (1 + sum_k 2 c_k**n) / 2p times the largest |x j_{n-1}(x)|,
     # taken as 2.
     reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
-    return _Route(below, lead, ratios, *plan, bound, _z_reach(bound, reach),
-                  _COND_MAX * 2 * p)
+    return _Route(below, lead, ratios, *plan, bound, reach, _COND_MAX * 2 * p)
 
 
 def _sum_series(lead: float, ratios: tuple[float, ...], n: int, az: float,
@@ -669,30 +613,30 @@ def evaluate(req: ApproxRequest) -> float:
 
     Each point takes the cheapest well-conditioned path: the series below
     the (kind, n, p) crossover or ``req.eps``, else the plan; for J with
-    n >= 2 the plan only from the route's z_reach on, where its Horner
-    bound is within reach, and only where that bound stays within the
-    condition limit of the result, else the node sum by recurrence.  The
-    route is one dict lookup, and the plan runs here from the route's fields,
-    rescaled from the same fields where the run overflows.
+    n >= 2 the plan only where its Horner bound is within the route's
+    reach, and only where that bound stays within the condition limit of
+    the result, else the node sum by recurrence.  The route is one dict
+    lookup, and the plan runs here from the route's fields, rescaled from
+    the same fields where the run overflows.
     """
     n, p, z, kind = req.n, req.p, req.z, req.kind
     try:
         route = _ROUTES[n, p, kind]
     except KeyError:
         route = _route(n, p, kind)
-    below, lead, ratios, run, odd, even, steps, bound, z_reach, limit = route
+    below, lead, ratios, run, odd, even, steps, bound, reach, limit = route
     az = abs(z)
     if az < below:
         value = _sum_series(lead, ratios, n, az, kind == "J")
         if value is not None:
             return -value if z < 0 and n % 2 else value
     if bound:
-        if az < z_reach:
-            value = _node_sum(n, p, az)
-            return -value if z < 0 and n % 2 else value
         size = 0.0
         for m in bound:
             size = size / az + m
+        if size > reach:
+            value = _node_sum(n, p, az)
+            return -value if z < 0 and n % 2 else value
     try:
         acc = run(z, odd, even, steps)
     except OverflowError:  # sinh/cosh, or a term or sum beyond binary64

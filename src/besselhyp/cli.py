@@ -17,6 +17,7 @@ an approximant beyond binary64 range), 4 internal consistency failure
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from functools import cache
@@ -129,6 +130,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     for n in range(1, args.n_max + 1):
         print(" ".join(str(c) for c in derive_expansion(n)))
     return EXIT_OK
@@ -305,21 +308,21 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return build_parsers()
 
 
-#: The second character of a token that is a value, not an option, when
-#: its first is "-": no option starts with "-" and a digit or a point.
-_VALUE_SECOND = frozenset("0123456789.")
+#: A token that is a value, not an option, although it starts with "-": a
+#: digit or a point next, or inf, infinity or nan in any case as the whole
+#: token or the first item of a list or range.  No option is spelt so.
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|(inf|infinity|nan)([,:]|$))", re.IGNORECASE)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
     # argparse reads a token that starts with "-" as an option unless it is a
-    # lone negative number, so "-z -3,0" would leave -z without its value.
-    # Such a token after an option is that option's value, attached to it
-    # as "-z=-3,0".
+    # lone negative number, so "-z -3,0" or "-z -inf" would leave -z without
+    # its value.  Such a token after an option is that option's value,
+    # attached to it as "-z=-3,0".
     out: list[str] = []
     for arg in argv:
-        if (arg[:1] == "-" and arg[1:2] in _VALUE_SECOND and out
-                and out[-1][:1] == "-" and out[-1][1:2] not in _VALUE_SECOND
-                and "=" not in out[-1]):
+        if (_NEGATIVE_VALUE.match(arg) and out and out[-1][:1] == "-"
+                and not _NEGATIVE_VALUE.match(out[-1]) and "=" not in out[-1]):
             out[-1] += "=" + arg
         else:
             out.append(arg)

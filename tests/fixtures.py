@@ -4,7 +4,8 @@ None is part of the package: ``kernel_sinh``/``kernel_cosh``/``kernel_sin``/
 ``kernel_cos`` are the per-term kernel sums, one transcendental per node
 and term, that the compiled plan must equal bit for bit; ``plan_value`` is
 the plan's value as evaluate takes it on the plan path, from a plan compiled
-afresh rather than read from a route; ``closed_form_p2``
+afresh rather than read from a route, and ``horner_size`` the Horner bound
+that decides whether evaluate runs the plan at all; ``closed_form_p2``
 keeps the printed two-node closed forms as literals, ``_approx_J_complex``
 reaches J by rotating the hyperbolic assembly in complex arithmetic,
 without the plan's sign pattern, and ``hp_approx_per_term``/
@@ -107,6 +108,16 @@ def plan_value(n: int, p: int, z: float, *, trig: bool) -> float:
     if n == 0:
         return (1.0 + acc) / (2 * p)
     return acc / (2 * p)
+
+
+def horner_size(bound: tuple[float, ...], az: float) -> float:
+    """The Horner sum in 1/az of a J route's ``bound``, step by step as
+    evaluate runs it: the plan runs only where it is at most the route's
+    ``reach``."""
+    size = 0.0
+    for m in bound:
+        size = size / az + m
+    return size
 
 
 # Printed two-node closed forms, hard-coded rather than derived, so they can

@@ -25,14 +25,13 @@ import pytest
 from besselhyp import ApproxRequest, Binary64OverflowError, derive_expansion, evaluate, make_nodes
 from besselhyp import approximation
 from besselhyp.approximation import (
-    _bound_size,
     _j_term_sign,
     _node_weights,
     _route,
     _runner,
     _sum_series,
 )
-from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, plan_value
+from fixtures import horner_size, kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, plan_value
 
 # Negative and fractional arguments, the cancellation region near zero, and
 # both sides of the binary64 edge of sinh/cosh (about 710.48).
@@ -133,7 +132,7 @@ def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
             if az < route.series_below and _sum_series(
                     route.lead, route.ratios, n, az, trig) is not None:
                 continue  # the series
-            if route.bound and az < route.z_reach:
+            if route.bound and horner_size(route.bound, az) > route.reach:
                 continue  # the node sum, without the plan
             try:
                 want = plan_value(n, p, z, trig=trig)
@@ -142,7 +141,7 @@ def test_evaluate_runs_the_plan_bit_for_bit(p, kind):
                 with pytest.raises(Binary64OverflowError):
                     evaluate(ApproxRequest(kind, n, p, z))
                 continue
-            if route.bound and _bound_size(route.bound, az) > route.limit * abs(want):
+            if route.bound and horner_size(route.bound, az) > route.limit * abs(want):
                 continue  # the plan refused: the node sum
             taken += 1
             rescaled += _runner_overflows(route, z)

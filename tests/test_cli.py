@@ -282,6 +282,13 @@ class TestCoeffs:
         assert code == EXIT_OK
         assert out.splitlines() == ["1", "-1 1", "3 -3 1", "-15 15 -6 1"]
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, capsys, n_max):
+        # As recurrence_table(0) refuses: no row would be printed.
+        code, out, err = run(capsys, "coeffs", "--n-max", n_max)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"argument error: n-max must be >= 1, got {n_max}\n"
+
 
 class TestScaling:
     def test_order0_p1(self, capsys):
@@ -455,11 +462,14 @@ class TestIdentities:
         assert code == EXIT_CONSISTENCY
         assert "tolerance" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "-0.0001"])
-    def test_tolerance_below_zero_or_nan_is_usage_error(self, capsys, tol):
+    @pytest.mark.parametrize("argv", [
+        *[pytest.param((f"--tol={tol}",), id=tol) for tol in ("nan", "-1", "-inf", "-0.0001")],
+        pytest.param(("--tol", "-inf"), id="--tol -inf"),
+    ])
+    def test_tolerance_below_zero_or_nan_is_usage_error(self, capsys, argv):
         # nan would switch the check off (no residual exceeds it), and a
         # negative tolerance would fail every residual as inconsistent.
-        code, out, err = run(capsys, "identities", f"--tol={tol}")
+        code, out, err = run(capsys, "identities", *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert "tolerance must be a number >= 0" in err
@@ -485,15 +495,34 @@ class TestParsing:
         code, _, _ = run(capsys, "--help")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("text", ["-3,0", "-3:3:3", "-.5,1"])
-    def test_negative_list_after_a_space(self, capsys, text):
-        # "-z -3,0" is not read as an option: the rows are those of "-z=-3,0".
-        spaced = run(capsys, "table", "-n", "1", "-z", text)
-        joined = run(capsys, "table", "-n", "1", f"-z={text}")
-        assert spaced[0] == joined[0] == EXIT_OK
+    @pytest.mark.parametrize("argv,text,rule", [
+        *[pytest.param(("table", "-n", "1", "-z"), text, None, id=text)
+          for text in ("-3,0", "-3:3:3", "-.5,1")],
+        *[pytest.param(("table", "-n", "1", "-z"), text, "argument must be finite", id=text)
+          for text in ("-inf", "-INF,1", "-nan", "-Infinity,2", "-NaN:1:3")],
+        *[pytest.param(("eval", "-n", "0", "-p", "2", "-z"), text, "argument must be finite",
+                       id=f"eval {text}") for text in ("-inf", "-nan", "-infinity")],
+        *[pytest.param(("identities", "--tol"), text, "tolerance must be a number >= 0",
+                       id=f"identities {text}") for text in ("-inf", "-NAN")],
+        pytest.param(("eval", "-p", "2", "-z", "1", "-n"), "-nan", "invalid int value",
+                     id="eval -n -nan"),
+    ])
+    def test_negative_list_after_a_space(self, capsys, argv, text, rule):
+        # "-z -3,0" or "-z -inf" is not read as an option: the spaced form
+        # exits, prints and reports as "-z=-3,0" or "-z=-inf" does, a value
+        # that breaks a rule by that argument's own rule.
+        spaced = run(capsys, *argv, text)
+        joined = run(capsys, *argv[:-1], f"{argv[-1]}={text}")
+        assert spaced[0] == joined[0]
         assert mask_ns(spaced[1]) == mask_ns(joined[1])
-        zs = [float(row[3]) for row in csv_rows(spaced[1])]
-        assert zs == sorted(set(cli._parse_floats(text)))
+        assert spaced[2] == joined[2]
+        if rule is None:
+            assert spaced[0] == EXIT_OK
+            zs = [float(row[3]) for row in csv_rows(spaced[1])]
+            assert zs == sorted(set(cli._parse_floats(text)))
+        else:
+            assert spaced[0] == EXIT_USAGE and spaced[1] == ""
+            assert rule in spaced[2] and "expected one argument" not in spaced[2]
 
     def test_bench_negative_list(self, capsys):
         code, out, _ = run(capsys, "bench", "-n", "1", "-p", "2", "-z", "-2,-1",

@@ -9,7 +9,9 @@ half-integer Bessel functions, so it shares nothing with the package.
 """
 
 import math
+import struct
 import sys
+from contextlib import contextmanager
 
 import mpmath as mp
 import pytest
@@ -39,7 +41,8 @@ from besselhyp.approximation import (
     make_nodes,
 )
 from besselhyp.coefficients import double_factorial
-from fixtures import group_sum_int, spherical_approximant, spherical_j_int
+from fixtures import (group_sum_int, horner_size, plan_value, spherical_approximant,
+                      spherical_j_int)
 
 TOL = 1e-12
 
@@ -247,30 +250,87 @@ def test_recurrences_keep_the_int_factor_bits():
     assert differ == []
 
 
-def _horner_size(bound, az):
-    # The Horner bound as evaluate runs it.
-    size = 0.0
-    for m in bound:
-        size = size / az + m
-    return size
+def _least_within_reach(route):
+    # The least positive float at which the route's Horner bound is at most
+    # its reach, by bisection over the ordered bit patterns of positive
+    # floats: the size is above the reach at the least subnormal and at
+    # most the reach at the largest float, and never grows between.
+    def float_of(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 1, struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+    assert horner_size(route.bound, float_of(lo)) > route.reach
+    assert horner_size(route.bound, float_of(hi)) <= route.reach
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if horner_size(route.bound, float_of(mid)) > route.reach:
+            lo = mid
+        else:
+            hi = mid
+    return float_of(hi)
+
+
+@contextmanager
+def _runner_swapped(n, p, run):
+    # The J route of (n, p) with its plan runner replaced by run, restored
+    # afterwards.
+    route = _route(n, p, "J")
+    approximation._ROUTES[n, p, "J"] = tuple(route._replace(run=run))
+    try:
+        yield
+    finally:
+        approximation._ROUTES[n, p, "J"] = tuple(route)
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for p in range(1, 9) for n in range(2, 4 * p)]
                          + [(n, p) for p in (16, 25, 40) for n in (2, 3, 17, 45, 63, 99, 108)
                             if n < 4 * p])
 def test_plan_threshold_is_exact(n, p):
-    # z_reach is the least |z| at which the Horner bound is within the reach
-    # the route tests it against: 2 _COND_MAX (1 + sum_k 2 c_k**n).  Below
-    # it evaluate takes the node sum.
+    # The route's reach is 2 _COND_MAX (1 + sum_k 2 c_k**n).  One float
+    # below the least |z| at which the Horner bound is within it evaluate
+    # takes the node sum without running the plan; at that |z| it runs the
+    # plan, whose value the limit test then keeps or gives to the node sum.
     route = _route(n, p, "J")
-    reach = 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
-    below = math.nextafter(route.z_reach, 0.0)
-    assert _horner_size(route.bound, route.z_reach) <= reach
-    assert _horner_size(route.bound, below) > reach
-    if below >= route.series_below:
-        for z in (below, -below):
+    assert route.reach == 2.0 * _COND_MAX * (1.0 + sum(_node_weights(p, n)))
+    least = _least_within_reach(route)
+    below = math.nextafter(least, 0.0)
+    if below < route.series_below:
+        return  # the series may take both points
+    runs = []
+
+    def recording(*args):
+        runs.append(args[0])
+        return route.run(*args)
+
+    with _runner_swapped(n, p, recording):
+        for z in (below, -below, least, -least):
             sign = -1.0 if z < 0 and n % 2 else 1.0
-            assert evaluate(ApproxRequest("J", n, p, z)) == sign * _node_sum(n, p, below)
+            want = sign * _node_sum(n, p, abs(z))
+            if abs(z) == least:
+                plan = plan_value(n, p, z, trig=True)
+                if horner_size(route.bound, least) <= route.limit * abs(plan):
+                    want = plan
+            assert evaluate(ApproxRequest("J", n, p, z)).hex() == want.hex(), z
+    assert runs == [least, -least]
+
+
+@pytest.mark.parametrize("n,p", [(5, 3), (20, 8), (99, 25)])
+def test_no_plan_run_where_the_bound_exceeds_the_reach(n, p):
+    # With a runner that raises in the route, the lower neighbour of the
+    # least |z| within the reach and 15 points spread from 0 up to it, at
+    # both signs, evaluate as before: none of them runs the plan.
+    below = math.nextafter(_least_within_reach(_route(n, p, "J")), 0.0)
+    zs = [below * k / 16 for k in range(1, 16)] + [below]
+    zs += [-z for z in zs]
+    want = [evaluate(ApproxRequest("J", n, p, z)).hex() for z in zs]
+
+    def refuse(*args):
+        raise AssertionError(f"plan run at z={args[0]!r}")
+
+    with _runner_swapped(n, p, refuse):
+        got = [evaluate(ApproxRequest("J", n, p, z)).hex() for z in zs]
+    assert got == want
+    assert _route(n, p, "J").run is not refuse
 
 
 @pytest.mark.parametrize("n,p,b", [(25, 8, 2), (31, 12, 0), (9, 3, 1)])

@@ -3,6 +3,11 @@
 Evaluates I_n and J_n through weighted sums of hyperbolic or circular
 cosines/sines over cosine nodes, backed by an exact integer coefficient
 engine, an independent power-series oracle, and CSV/JSON reporting tools.
+
+``import besselhyp`` loads ``approximation`` and ``coefficients`` alone.  The
+oracle's names (``ref_I``, ``ref_J``, ``tail_I0``, ``identity_residual``,
+``IDENTITY_TAGS``) load ``besselhyp.reference`` on their first access, so a
+caller that only evaluates never compiles the oracle.
 """
 
 from .approximation import (
@@ -17,13 +22,6 @@ from .coefficients import (
     derive_expansion,
     double_factorial,
     recurrence_table,
-)
-from .reference import (
-    IDENTITY_TAGS,
-    identity_residual,
-    ref_I,
-    ref_J,
-    tail_I0,
 )
 
 __version__ = "0.1.0"
@@ -45,3 +43,14 @@ __all__ = [
     "tail_I0",
     "__version__",
 ]
+
+_ORACLE_NAMES = frozenset({"IDENTITY_TAGS", "identity_residual", "ref_I", "ref_J", "tail_I0"})
+
+
+def __getattr__(name: str):
+    # Called only for a name not yet bound: an oracle name imports the oracle
+    # (which binds `reference` here) and is then read from it.
+    if name in _ORACLE_NAMES:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

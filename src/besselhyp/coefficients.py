@@ -9,7 +9,8 @@ tuple whose index i is q = i + 1; parity and power follow from q.  Those
 integers are derived three independent ways:
 
 * symbolically, by rewriting the term list under the exact derivative
-  rules (`derive_expansion`, the authoritative route),
+  rules, once per order from the order below (`derive_expansion`, the
+  authoritative route),
 * from the boundary closed forms plus the interior two-term recurrence
   (`recurrence_table`),
 * from standalone per-column closed forms (`closed_form_coefficient`).
@@ -45,7 +46,9 @@ def derive_expansion(n: int) -> tuple[int, ...]:
     """Symbolic n-fold application of (1/z)(d/dz) to the index-0 cosh kernel.
 
     Returns a(n, q) for q = 1..n, the same row `recurrence_table` builds;
-    the q = n coefficient is 1.
+    the q = n coefficient is 1.  Order n is one application of the operator
+    to the terms of order n - 1, taken from this function's own cache (order
+    1 to the kernel itself), so a new order costs one rewrite, not n.
 
     Rewrite rules, exact on the term list:
 
@@ -58,16 +61,23 @@ def derive_expansion(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError(f"expansion order must be >= 1, got {n}")
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (q, m), c in cur.items():
-            if m != 0:
-                key = (q, m - 2)  # power-rule term, then the 1/z shift
-                nxt[key] = nxt.get(key, 0) + c * m
-            key = (q + 1, m - 1)  # index-raising term, then the 1/z shift
-            nxt[key] = nxt.get(key, 0) + c
-        cur = {k: v for k, v in nxt.items() if v != 0}
+    if n == 1:
+        cur: dict[tuple[int, int], int] = {(0, 0): 1}
+    else:
+        # The orders below are asked for in ascending order first, so each
+        # is one rewrite of a cached order and no call nests more than two
+        # deep, however high the first n.
+        for k in range(1, n - 1):
+            derive_expansion(k)
+        cur = {(q, q - 2 * (n - 1)): c for q, c in enumerate(derive_expansion(n - 1), 1)}
+    nxt: dict[tuple[int, int], int] = {}
+    for (q, m), c in cur.items():
+        if m != 0:
+            key = (q, m - 2)  # power-rule term, then the 1/z shift
+            nxt[key] = nxt.get(key, 0) + c * m
+        key = (q + 1, m - 1)  # index-raising term, then the 1/z shift
+        nxt[key] = nxt.get(key, 0) + c
+    cur = {k: v for k, v in nxt.items() if v != 0}
 
     # Structural guarantees of the rewrite; cheap to keep as hard checks.
     assert sorted(cur) == [(q, q - 2 * n) for q in range(1, n + 1)]

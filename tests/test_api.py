@@ -93,13 +93,18 @@ def test_no_module_reads_the_environment():
         assert "os.environ" not in text and "getenv" not in text, path.name
 
 
-def _import_loads(module, imported="besselhyp.cli"):
-    # Whether a fresh interpreter that imports only `imported` has `module`.
+def _src_env():
+    # The environment of a fresh interpreter that imports this package.
     env = dict(os.environ)
     src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+def _import_loads(module, imported="besselhyp.cli"):
+    # Whether a fresh interpreter that imports only `imported` has `module`.
     code = f"import sys, {imported}; sys.exit({module!r} in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    return subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode != 0
 
 
 def test_cli_import_loads_no_numpy():
@@ -121,9 +126,50 @@ def test_cli_import_loads_no_statistics_or_json():
     assert not _import_loads("json")
 
 
-@pytest.mark.parametrize("module", ["numpy", "mpmath", "statistics", "json", "argparse"])
+@pytest.mark.parametrize("module", ["numpy", "mpmath", "statistics", "json", "argparse",
+                                    "besselhyp.reference"])
 def test_library_import_loads_none_of_the_tools(module):
     # A plain `import besselhyp`, as a library caller starts, loads none of
-    # what only the analysis twins or the CLI use: each would add to every
-    # cold start.
+    # what only the analysis twins, the oracle or the CLI use: each would add
+    # to every cold start.
     assert not _import_loads(module, imported="besselhyp")
+
+
+def test_library_import_loads_only_the_evaluator():
+    code = ("import sys, besselhyp\n"
+            "print(sorted(name for name in sys.modules if name.startswith('besselhyp')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "['besselhyp', 'besselhyp.approximation', 'besselhyp.coefficients']\n"
+
+
+ORACLE_NAMES = ["ref_I", "ref_J", "tail_I0", "identity_residual", "IDENTITY_TAGS"]
+
+
+def test_oracle_names_are_the_oracles_own():
+    from besselhyp import IDENTITY_TAGS, identity_residual, ref_I, ref_J, tail_I0
+    from besselhyp import reference
+    imported = [ref_I, ref_J, tail_I0, identity_residual, IDENTITY_TAGS]
+    for name, value in zip(ORACLE_NAMES, imported):
+        assert value is getattr(reference, name), name
+        assert getattr(besselhyp, name) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from besselhyp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPECTED
+
+
+def test_missing_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        besselhyp.no_such_name
+
+
+def test_fromlist_import_leaves_the_oracle_unloaded():
+    # As a caller imports the package by name with a placeholder fromlist:
+    # looking the placeholder up must raise AttributeError, which
+    # __import__ skips, and load nothing.
+    code = ("import sys; module = __import__('besselhyp', fromlist=['_'])\n"
+            "sys.exit(not hasattr(module, 'evaluate') or 'besselhyp.reference' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0

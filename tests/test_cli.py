@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import time
 import types
 
@@ -23,6 +24,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def timed_events(capsys, monkeypatch, argv, keys):
+    """The clock readings and evaluate calls of one run, in order, each call
+    with whether its route was already built; the routes of keys are
+    dropped first."""
+    for key in keys:
+        approximation._ROUTES.pop(key, None)
+    events = []
+
+    def traced(req):
+        events.append(("evaluate", (req.n, req.p, req.kind) in approximation._ROUTES))
+        return approximation.evaluate(req)
+
+    def clock():
+        events.append(("clock",))
+        return time.perf_counter_ns()
+
+    monkeypatch.setattr(cli, "evaluate", traced)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter_ns=clock))
+    assert run(capsys, *argv)[0] == EXIT_OK
+    return events
 
 
 def csv_rows(out):
@@ -93,6 +116,14 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--kind", "Q", "-n", "0", "-p", "2", "-z", "1")
         assert code == EXIT_USAGE
 
+    def test_timed_calls_find_their_route_built(self, capsys, monkeypatch):
+        # The route is built before the row's clock starts, and the point is
+        # evaluated once: ns times a warm evaluation.
+        events = timed_events(capsys, monkeypatch,
+                              ("eval", "--kind", "J", "-n", "5", "-p", "3", "-z", "2"),
+                              [(5, 3, "J")])
+        assert events == [("clock",), ("evaluate", True), ("clock",)]
+
     def test_full_precision_flag(self, capsys):
         _, brief, _ = run(capsys, "eval", "-n", "0", "-p", "2", "-z", "1")
         _, full, _ = run(capsys, "eval", "-n", "0", "-p", "2", "-z", "1", "--full")
@@ -143,6 +174,14 @@ class TestTable:
     def test_empty_grid_is_usage_error(self, capsys, grid):
         code, out, err = run(capsys, "table", *grid)
         assert code == EXIT_USAGE and out == "" and "argument error" in err
+
+    def test_timed_calls_find_their_route_built(self, capsys, monkeypatch):
+        # Each order's route is built before its first row's clock starts,
+        # and each point is evaluated once.
+        events = timed_events(capsys, monkeypatch,
+                              ("table", "-n", "2,5", "-p", "3", "-z", "1,2"),
+                              [(2, 3, "I"), (5, 3, "I")])
+        assert events == [("clock",), ("evaluate", True), ("clock",)] * 4
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "-n", "0,1", "-z", "1,2", "--format", "json")
@@ -281,6 +320,17 @@ class TestCoeffs:
         code, out, _ = run(capsys, "coeffs", "--n-max", "4")
         assert code == EXIT_OK
         assert out.splitlines() == ["1", "-1 1", "3 -3 1", "-15 15 -6 1"]
+
+    def test_rows_past_the_int_string_limit(self, capsys, monkeypatch):
+        # From n = 1425 a(n, 1) has more than the 4300 digits Python converts
+        # by default; the command prints it and restores the limit.
+        big = 10 ** 4999 + 1
+        monkeypatch.setattr(cli, "derive_expansion", lambda n: (big, 1))
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "coeffs", "--n-max", "1")
+        assert code == EXIT_OK
+        assert out == "1" + "0" * 4998 + "1 1\n"
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_is_usage_error(self, capsys, n_max):
@@ -425,22 +475,10 @@ class TestBench:
         # One untimed pass builds the route, so that even a single repetition
         # times warm calls: every evaluate after the first clock reading
         # finds its route already cached.
-        approximation._ROUTES.pop((5, 3, "J"), None)
-        events = []
-
-        def traced(req):
-            events.append(("evaluate", (req.n, req.p, req.kind) in approximation._ROUTES))
-            return approximation.evaluate(req)
-
-        def clock():
-            events.append(("clock",))
-            return time.perf_counter_ns()
-
-        monkeypatch.setattr(cli, "evaluate", traced)
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter_ns=clock))
-        code, _, _ = run(capsys, "bench", "--kind", "J", "-n", "5", "-p", "3",
-                         "-z", "1,2", "--repetitions", "1")
-        assert code == EXIT_OK
+        events = timed_events(capsys, monkeypatch,
+                              ("bench", "--kind", "J", "-n", "5", "-p", "3",
+                               "-z", "1,2", "--repetitions", "1"),
+                              [(5, 3, "J")])
         first_clock = events.index(("clock",))
         assert events[:first_clock] == [("evaluate", False), ("evaluate", True)]
         assert [event for event in events[first_clock:] if event[0] == "evaluate"] == [

@@ -4,8 +4,14 @@ The printed low-order expansions pin the derivation; the recurrence table
 and the standalone closed forms must agree with it integer-for-integer.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import besselhyp
 from besselhyp import (
     closed_form_coefficient,
     derive_expansion,
@@ -41,8 +47,28 @@ class TestDeriveExpansion:
         assert derive_expansion(n) == PRINTED[n]
 
     def test_rejects_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            derive_expansion(0)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                derive_expansion(n)
+
+    def test_rejects_a_float_order(self):
+        with pytest.raises(TypeError):
+            derive_expansion(2.5)
+
+    def test_true_is_order_one(self):
+        assert derive_expansion(True) == (1,)
+
+    def test_cold_high_order_nests_no_deeper_than_a_constant(self):
+        # Each order is one rewrite of the order below, and the orders below
+        # are asked for in ascending order, so a first call at a high order
+        # runs under a recursion limit far below that order.
+        env = dict(os.environ)
+        src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        code = ("import sys; sys.setrecursionlimit(100)\n"
+                "from besselhyp.coefficients import derive_expansion, recurrence_table\n"
+                "sys.exit(derive_expansion(400) != recurrence_table(400)[400])")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_structure(self, n):

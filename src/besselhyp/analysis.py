@@ -106,7 +106,7 @@ def first_mismatch_order(n: int, p: int) -> int:
     max(4p - n, n), the order of the error's first term (_leading_error)."""
     _validate_args(n=n, p=p)
     _validate_domain(n, p)
-    return _leading_error(n, p)[0]
+    return max(4 * p - n, n)
 
 
 @lru_cache(maxsize=None)

@@ -104,6 +104,18 @@ class TestSeriesCoefficients:
         assert approximant_series_coeff(n, p, cut) != bessel_i_series_coeff(n, cut)
         assert first_mismatch_order(n, p) == cut
 
+    def test_first_mismatch_builds_no_coefficient(self, monkeypatch):
+        # The order is max(4p - n, n) from the arguments alone: the exact
+        # first error coefficient, which costs seconds at large p, is not
+        # built only to be dropped.
+        def refuse(*args):
+            raise AssertionError("coefficient built")
+
+        monkeypatch.setattr(analysis, "approximant_series_coeff", refuse)
+        monkeypatch.setattr(analysis, "_leading_error", refuse)
+        assert first_mismatch_order(50, 3000) == 11950
+        assert first_mismatch_order(40, 12) == 40
+
     @pytest.mark.parametrize("p", range(1, 9))
     def test_leading_error_is_the_first_coefficient_difference(self, p):
         # The order of the first nonzero coefficient of A_n - I_n, and its

@@ -31,6 +31,9 @@ evaluated by the cheapest of three paths that is well-conditioned there:
   accepted only while its condition number sum|t| / |sum t| stays small;
 * the plan below, the assembly itself, which cancels between its
   negative powers of z for n >= 2 as z -> 0 (for I below about |z| = n**2/7);
+  for I from n = 66 the series reaches the edge of cosh, past which cosh
+  overflows, so such a route holds no plan and refuses every point the
+  series leaves;
 * for J where neither is well-conditioned, the node sum itself: each node
   at or above the turning point c_k |z| >= n - 1 takes j_{n-1}(c_k z) by
   upward recurrence, and all nodes below it share one Miller backward
@@ -54,10 +57,11 @@ same order, as summing each kernel_q on its own (one sinh/cosh per term
 and node), so its results equal that per-term form bit for bit.
 
 Everything a point needs is one route record per (kind, n, p) (_Route), the
-plan's only home: the series' lead and ratios, the plan's runner and rows,
-and for J the bound's terms and thresholds.  It is built on the first point
-of its (kind, n, p) and found by one dict lookup in _ROUTES on the request's
-own fields, and evaluate runs the plan from it inline.
+plan's only home: the series' lead and ratios, the plan's runner and rows
+(for I from n = 66 a refusal and no rows), and for J the bound's terms and
+thresholds.  It is built on the first point of its (kind, n, p) and found
+by one dict lookup in _ROUTES on the request's own fields, and evaluate
+runs the plan from it inline.
 
 The argument rules for (kind, n, p, z) are raised here alone (_validate_*):
 ApproxRequest applies them once, when it is built, evaluate trusts what it
@@ -290,9 +294,11 @@ def _rescaled_plan_value(run: Callable[..., float], odd: Callable[[float], float
     the value is the one an unbounded exponent range would give, and m is
     taken so that every term (see _term_bounds) and their sum stay in range.
     Only a transcendental that overflows itself, or a value beyond binary64,
-    raises.
+    raises.  Only I with n <= 65 can take the rescale, between its series'
+    reach and the edge of cosh; an I route from n = 66 holds no plan, no
+    rows and a runner that refuses, so it raises here at once.
     """
-    m = math.frexp(len(steps) * max(_term_bounds(steps)))[1]
+    m = math.frexp(len(steps) * max(_term_bounds(steps), default=0.0))[1]
     scale = math.ldexp(1.0, -m)
 
     def scaled(f: Callable[[float], float] | None) -> Callable[[float], float] | None:
@@ -402,12 +408,16 @@ class _Route(NamedTuple):
     threshold 0.25 (n + 1), from ``lead`` and ``ratios`` (see _series), and
     the plan the rest: ``run``, ``odd``, ``even`` and ``steps`` are the
     plan of a(n, q) (see _compile), compiled for this record alone, which
-    evaluate runs.  For J with n >= 2, ``bound`` holds |a(n, q)|
-    (1 + sum_k 2 c_k**q) in plan order, whose Horner sum in 1/|z| bounds
-    the plan's terms; the plan is tried where that sum is at most
-    ``reach`` = _COND_MAX 2p times the largest |A_n|, and kept while it is
-    at most ``limit`` = _COND_MAX 2p times the result.  Where the sum
-    exceeds the reach the node sum takes the point without running the plan.
+    evaluate runs.  An I route from n = 66, whose series reaches the edge
+    of cosh, holds no plan: ``run`` is _past_the_edge, which raises
+    OverflowError, ``odd`` and ``even`` are None and ``steps`` is empty, so
+    every point the series leaves raises Binary64OverflowError.  For J with
+    n >= 2, ``bound`` holds |a(n, q)| (1 + sum_k 2 c_k**q) in plan order,
+    whose Horner sum in 1/|z| bounds the plan's terms; the plan is tried
+    where that sum is at most ``reach`` = _COND_MAX 2p times the largest
+    |A_n|, and kept while it is at most ``limit`` = _COND_MAX 2p times the
+    result.  Where the sum exceeds the reach the node sum takes the point
+    without running the plan.
     """
 
     series_below: float
@@ -437,12 +447,20 @@ def _route(n: int, p: int, kind: str) -> _Route:
     return _Route._make(route)
 
 
+def _past_the_edge(z: float, odd: None, even: None, steps: tuple) -> float:
+    # The plan of an I route whose series reaches the edge of cosh: every
+    # point the series leaves lies past it, where cosh overflows.
+    raise OverflowError("math range error")
+
+
 def _build_route(n: int, p: int, trig: bool) -> _Route:
     if n > _ORDER_MAX:  # refused before anything is built (see _ORDER_MAX)
         raise Binary64OverflowError(
             f"order n={n} at p={p} needs coefficients beyond binary64 range")
     series_reach = _series_reach(n, p)
     lead, ratios = _series(n, p)
+    if not trig and series_reach > _COSH_EDGE:  # every n >= 66
+        return _Route(series_reach, lead, ratios, _past_the_edge, None, None, (), (), 0.0, 0.0)
     # Order 0 is the index-0 cosh kernel alone, the coefficient 1 at q = 0;
     # evaluate adds the constant 1.
     plan = _compile(enumerate(_signed_expansion(n, trig), 1) if n else [(0, 1)],
@@ -617,7 +635,9 @@ def evaluate(req: ApproxRequest) -> float:
     reach, and only where that bound stays within the condition limit of
     the result, else the node sum by recurrence.  The route is one dict
     lookup, and the plan runs here from the route's fields, rescaled from
-    the same fields where the run overflows.
+    the same fields where the run overflows.  An I route from n = 66 holds
+    no plan: past the edge of cosh, the only points its series leaves, it
+    raises Binary64OverflowError through the same overflow branch.
     """
     n, p, z, kind = req.n, req.p, req.z, req.kind
     try:

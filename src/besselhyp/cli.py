@@ -10,9 +10,9 @@ oracle is exactly zero the rel_err column carries the absolute error and
 the flag column reads "abs".  The ns column is the wall time of one warm
 evaluation: each order's route is built before its first row is timed.
 
-Exit codes: 0 success, 2 argument error, 3 domain violation (n >= 4p, or
-an approximant beyond binary64 range), 4 internal consistency failure
-(identity residual beyond tolerance).
+Exit codes: 0 success, 2 argument error, 3 domain violation (n >= 4p, an
+approximant beyond binary64 range, or an order past 108), 4 internal
+consistency failure (identity residual beyond tolerance).
 """
 
 from __future__ import annotations

@@ -319,3 +319,17 @@ class TestNodeSum:
         # Where the group's bound is not negligible, it is taken, once.
         assert _node_sum(24, 8, 20.0) == self._full(24, 8, 20.0)
         assert calls == [20.0]
+
+
+def test_error_figures_at_p2():
+    # The README's figures for the paper's regime, p = 2, n = 0..3, z in
+    # [1, 4] in steps of 0.05: I's relative error runs from 1.6e-7 to
+    # 3.0e-2; J's relative error has no bound near the zeros of J_0 and J_1
+    # there, but its absolute error stays below 2e-2.
+    zs = [1.0 + k / 20 for k in range(61)]
+    rel_I = [abs(evaluate(ApproxRequest("I", n, 2, z)) / ref_I(n, z) - 1.0)
+             for n in range(4) for z in zs]
+    abs_J = [abs(evaluate(ApproxRequest("J", n, 2, z)) - ref_J(n, z))
+             for n in range(4) for z in zs]
+    assert 1e-7 <= min(rel_I) and max(rel_I) < 3.1e-2
+    assert max(abs_J) < 2e-2

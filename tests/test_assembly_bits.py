@@ -188,13 +188,18 @@ def test_runner_at_thousands_of_nodes(trig):
 
 
 def test_one_runner_per_p():
-    # Every route at one p shares one runner; none is built per (kind, n).
+    # Every route at one p that holds a plan shares one runner; none is built
+    # per (kind, n).  An I route from n = 66, whose series reaches the edge
+    # of cosh, holds no plan: no rows, and a runner of its own that refuses.
     before = _runner.cache_info().misses
-    runners = {
-        p: {_route(n, p, kind).run for n in range(4 * p) for kind in "IJ"}
-        for p in (21, 22)
-    }
+    routes = {(n, p, kind): _route(n, p, kind)
+              for p in (21, 22) for n in range(4 * p) for kind in "IJ"}
+    planless = {key for key, route in routes.items() if not route.steps}
+    assert planless == {(n, p, "I") for p in (21, 22) for n in range(66, 4 * p)}
+    runners = {p: {route.run for (_, q, _), route in routes.items()
+                   if q == p and route.steps} for p in (21, 22)}
     assert runners == {p: {_runner(p)} for p in (21, 22)}
+    assert all(routes[key].run not in runners[key[1]] for key in planless)
     assert _runner.cache_info().misses - before <= 2
 
 

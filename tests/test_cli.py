@@ -2,9 +2,11 @@
 
 import json
 import re
+import shlex
 import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -600,3 +602,16 @@ class TestParsing:
             fresh.append(run(capsys, *argv))
         assert shared == fresh
         assert all(code == EXIT_OK for code, _, _ in shared)
+
+
+def test_readme_cli_block_runs(capsys):
+    # Each line of the README's CLI code block, comment dropped, runs through
+    # main in-process, exits 0 and prints something.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert lines
+    for argv in lines:
+        assert argv[0] == "besselhyp", argv
+        code, out, err = run(capsys, *argv[1:])
+        assert code == EXIT_OK and out.strip(), (argv, code, err)

@@ -9,6 +9,7 @@ half-integer Bessel functions, so it shares nothing with the package.
 """
 
 import math
+import re
 import struct
 import sys
 from contextlib import contextmanager
@@ -229,6 +230,37 @@ def test_every_admitted_order_builds(kind):
             assert all(math.isfinite(coeff) for _, coeff, _ in route.steps)
 
 
+def test_hyperbolic_route_past_the_plan_builds_none(monkeypatch):
+    # From n = 66 the I series reaches the edge of cosh at every p, and past
+    # the edge cosh overflows, so no point could return from a plan: the
+    # route builds none, neither coefficients nor node weights nor runner.
+    # The series takes every |z| up to the edge, and past it evaluate raises
+    # the overflow error of the plan path, message and all.
+    def never(*args, **kwargs):
+        raise AssertionError("a plan of an I route from n = 66 was built")
+
+    monkeypatch.setattr(approximation, "_ROUTES", {})
+    for name in ("_compile", "_signed_expansion", "derive_expansion", "_node_weights",
+                 "_runner", "make_nodes"):
+        monkeypatch.setattr(approximation, name, never)
+    past = (math.nextafter(_COSH_EDGE, math.inf), -720.0, 1e300)
+    for n in range(66, _ORDER_MAX + 1):
+        for p in (n // 4 + 1, 40, 2000):
+            route = _route(n, p, "I")
+            assert route.series_below > _COSH_EDGE and route.steps == ()
+            assert math.isfinite(evaluate(ApproxRequest("I", n, p, _COSH_EDGE)))
+            for z in past:
+                message = f"approximant of order n={n} at p={p} overflows binary64 at z={z!r}"
+                with pytest.raises(Binary64OverflowError, match=f"^{re.escape(message)}$"):
+                    evaluate(ApproxRequest("I", n, p, z))
+    # A point the series gives up on has no plan to fall back to: it raises,
+    # and never returns a value.
+    monkeypatch.setattr(approximation, "_sum_series", lambda *args: None)
+    for z in (1.0, -300.0, _COSH_EDGE):
+        with pytest.raises(Binary64OverflowError):
+            evaluate(ApproxRequest("I", 66, 17, z))
+
+
 def test_recurrences_keep_the_int_factor_bits():
     # Every m a node sum can take, on both sides of the turning point: the
     # float factors round as the int factors of the fixtures do.
@@ -391,11 +423,14 @@ def test_eps_forces_the_series_but_not_a_wrong_value(n, p):
 def test_every_hyperbolic_table_reaches_its_threshold():
     # Just below I's threshold, its route's series_below, every table holds
     # the whole series: below it the plan would cancel, and a table that ran
-    # out would hand the point to it.  The routes are checked through their
-    # parts, which cost no plan.
+    # out would hand the point to it; from n = 66, whose route holds no plan,
+    # it would raise.  There the point checked is the edge of cosh itself.
+    # The routes are checked through their parts, which cost no plan, over
+    # the whole-domain gate's p and a few far past it.
     assert _route(96, 25, "I")[:3] == (_series_reach(96, 25), *_series(96, 25))
+    assert math.nextafter(_series_reach(66, 17), 0.0) == _COSH_EDGE
     short = []
-    for p in range(1, 33):
+    for p in (*range(1, 41), 100, 1000, 2000):
         for n in range(min(4 * p, 109)):
             az = math.nextafter(_series_reach(n, p), 0.0)
             if _sum_series(*_series(n, p), n, az, False) is None:

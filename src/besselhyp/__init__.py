@@ -7,7 +7,8 @@ engine, an independent power-series oracle, and CSV/JSON reporting tools.
 ``import besselhyp`` loads ``approximation`` and ``coefficients`` alone.  The
 oracle's names (``ref_I``, ``ref_J``, ``tail_I0``, ``identity_residual``,
 ``IDENTITY_TAGS``) load ``besselhyp.reference`` on their first access, so a
-caller that only evaluates never compiles the oracle.
+caller that only evaluates never compiles the oracle; ``dir(besselhyp)``
+lists them before that without loading it.
 """
 
 from .approximation import (
@@ -54,3 +55,8 @@ def __getattr__(name: str):
         from . import reference
         return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # The bound names and the oracle's, which __getattr__ serves unbound.
+    return sorted(globals().keys() | _ORACLE_NAMES)

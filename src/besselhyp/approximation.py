@@ -73,7 +73,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
@@ -96,7 +95,6 @@ class Binary64OverflowError(DomainError, OverflowError):
     """
 
 
-@dataclass(frozen=True)
 class ApproxRequest:
     """One evaluation request: function kind, order, accuracy, argument.
 
@@ -105,8 +103,14 @@ class ApproxRequest:
     n < 4p, without which no series terms match.  The read-only ``eps`` is
     the |z| = 0.25 (n + 1) below which evaluate takes the series without a
     cost comparison; it is derived from ``n``, not set.
+
+    A request is a frozen value: every assignment or deletion raises
+    AttributeError, and it is compared, hashed and printed by its four
+    fields.  It is not a dataclass; a changed request is built anew, which
+    validates it again.
     """
 
+    __match_args__ = ("kind", "n", "p", "z")
     kind: str
     n: int
     p: int
@@ -114,8 +118,8 @@ class ApproxRequest:
 
     def __init__(self, kind: str, n: int, p: int, z: float) -> None:
         # One test on the accepted path; a request that fails it meets the
-        # rules in turn.  Fields go straight into the instance dict: the class
-        # is frozen, and item stores cost less than object.__setattr__.
+        # rules in turn.  Fields go straight into the instance dict, past the
+        # __setattr__ that refuses every store.
         try:
             if not (kind in ("I", "J") and type(n) is int and type(p) is int
                     and 0 <= n < 4 * p and math.isfinite(z := float(z))):
@@ -131,6 +135,25 @@ class ApproxRequest:
     @property
     def eps(self) -> float:
         return _forced_series_below(self.n)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, n={self.n!r}, "
+                f"p={self.p!r}, z={self.z!r})")
+
+    def __eq__(self, other):
+        # Requests of one class only: a request never equals its tuple.
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n, self.p, self.z) == (other.kind, other.n, other.p, other.z)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.p, self.z))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _forced_series_below(n: int) -> float:

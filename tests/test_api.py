@@ -126,8 +126,15 @@ def test_cli_import_loads_no_statistics_or_json():
     assert not _import_loads("json")
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_import_loads_no_dataclasses_or_inspect(module):
+    # ApproxRequest writes its value methods out; the dataclasses module and
+    # the inspect, ast and dis it pulls in cost about a third of a cold start.
+    assert not _import_loads(module)
+
+
 @pytest.mark.parametrize("module", ["numpy", "mpmath", "statistics", "json", "argparse",
-                                    "besselhyp.reference"])
+                                    "besselhyp.reference", "dataclasses", "inspect"])
 def test_library_import_loads_none_of_the_tools(module):
     # A plain `import besselhyp`, as a library caller starts, loads none of
     # what only the analysis twins, the oracle or the CLI use: each would add
@@ -159,6 +166,15 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from besselhyp import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPECTED
+
+
+def test_dir_lists_the_oracle_names_and_leaves_the_oracle_unloaded():
+    # The oracle's names are served by __getattr__, unbound until read; dir()
+    # lists them still, for tab completion and inspect.getmembers.
+    code = ("import sys, besselhyp\n"
+            "sys.exit(not set(besselhyp.__all__) <= set(dir(besselhyp))\n"
+            "         or 'besselhyp.reference' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
 
 def test_missing_name_is_an_attribute_error():

@@ -1,7 +1,9 @@
 """Approximant tests: request validation, path selection, parity, fixtures."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import mpmath as mp
 import pytest
@@ -80,18 +82,24 @@ class TestRequestValidation:
 
     def test_frozen(self):
         req = ApproxRequest("I", 2, 2, 1.5)
-        for name, value in (("z", 2.0), ("eps", None), ("kind", "J")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(req, name, value)
+        for name in ("kind", "n", "p", "z", "eps", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(req, name, 2.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(req, name)
         assert req == ApproxRequest("I", 2, 2, 1.5)
 
     def test_replace_validates(self):
+        # Not a dataclass: a changed request is built anew from the fields,
+        # and is validated again.
         req = ApproxRequest("J", 3, 2, 1.5)
+        with pytest.raises(TypeError):
+            dataclasses.replace(req, z=2)
         with pytest.raises(ValueError):
-            dataclasses.replace(req, z=math.inf)
+            ApproxRequest(**{**vars(req), "z": math.inf})
         with pytest.raises(DomainError):
-            dataclasses.replace(req, n=8)
-        assert dataclasses.replace(req, z=2).z == 2.0
+            ApproxRequest(**{**vars(req), "n": 8})
+        assert ApproxRequest(**{**vars(req), "z": 2}).z == 2.0
 
     def test_keywords_equality_and_hash(self):
         req = ApproxRequest(kind="I", n=3, p=2, z=1)
@@ -100,8 +108,26 @@ class TestRequestValidation:
         same = ApproxRequest("I", 3, 2, 1.0)
         assert req == same and hash(req) == hash(same)
         assert len({req, same, ApproxRequest("I", 3, 2, 2.0)}) == 2
+        assert hash(req) == hash(("I", 3, 2, 1.0))
         assert repr(req) == "ApproxRequest(kind='I', n=3, p=2, z=1.0)"
-        assert [f.name for f in dataclasses.fields(req)] == ["kind", "n", "p", "z"]
+        assert ApproxRequest.__match_args__ == ("kind", "n", "p", "z")
+        assert list(vars(req)) == ["kind", "n", "p", "z"]
+
+    def test_value_semantics(self):
+        # Pickled, copied or destructured, a request is the same value; it
+        # equals no tuple of its fields.
+        req = ApproxRequest("I", 3, 2, 1)
+        others = [pickle.loads(pickle.dumps(req, protocol)) for protocol in range(6)]
+        for other in [*others, copy.copy(req), copy.deepcopy(req)]:
+            assert type(other) is ApproxRequest
+            assert other == req and hash(other) == hash(req)
+            assert type(other.z) is float
+        match req:
+            case ApproxRequest(kind, n, p, z):
+                assert (kind, n, p, z) == ("I", 3, 2, 1.0)
+            case _:
+                pytest.fail("no match")
+        assert req != ("I", 3, 2, 1.0) and ("I", 3, 2, 1.0) != req
 
 
 class TestApproxI:

@@ -17,10 +17,12 @@ cos) taken once per argument, which ``hp_approx`` must match to within its
 rounding floor.
 ``spherical_approximant`` builds the approximant from mpmath's
 half-integer Bessel functions, apart from the repository's algebra, and
-``ref_I_accumulator``/``ref_J_accumulator`` keep the oracle loops that sum
-through a Neumaier accumulator object, which ``ref_I``/``ref_J`` must match
-bit for bit.  ``spherical_j_int``/``group_sum_int`` keep the node sum's
-recurrences stepping over int factors 2l + 1, which ``_spherical_j`` and
+``ref_I_accumulator``/``ref_J_accumulator`` are the oracle's plain series
+sums stepping over int indices k, ``ref_J_accumulator`` with a two-term
+lookahead stop, which ``ref_I``/``ref_J``, stepping over float indices and
+stopping at the first small term, must match bit for bit.
+``spherical_j_int``/``group_sum_int`` keep the node sum's recurrences
+stepping over int factors 2l + 1, which ``_spherical_j`` and
 ``_group_sum``, stepping over the same factors as floats, must match bit for
 bit.
 """
@@ -333,61 +335,39 @@ def spherical_approximant(kind: str, n: int, p: int, z, dps: int = 30):
         return sign * az / (2 * p) * sum(terms), az / (2 * p) * sum(abs(t) for t in terms)
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulator."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.carry += (self.total - t) + x
-        else:
-            self.carry += (x - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.carry
-
-
 def ref_I_accumulator(n: int, z: float) -> float:
     """Ascending series for I_n: sum_k (z/2)**(n+2k) / (k! (n+k)!)."""
     _validate(n, z)
     term = _leading_term(n, z)
-    acc = _CompensatedSum()
-    acc.add(term)
+    total = 0.0 + term
     ratio = 0.25 * z * z
     for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
-        acc.add(term)
-        if abs(term) <= _TOL * abs(acc.value()):
+        total += term
+        if abs(term) <= _TOL * abs(total):
             break
-    return acc.value()
+    return total
 
 
 def ref_J_accumulator(n: int, z: float) -> float:
     """Alternating series for J_n, with a two-term lookahead stop.
 
-    The lookahead guards against stopping on an accidentally small term of
-    an alternating sum before its neighbour has been folded in.
+    The lookahead waits for the term after a small one to be small too;
+    ref_J's series, which stops at the first small term, must stop at the
+    same place.
     """
     _validate(n, z)
     term = _leading_term(n, z)
-    acc = _CompensatedSum()
-    acc.add(term)
+    total = 0.0 + term
     ratio = -0.25 * z * z
     for k in range(1, _MAX_TERMS):
         term *= ratio / (k * (n + k))
-        acc.add(term)
-        bound = _TOL * abs(acc.value())
+        total += term
+        bound = _TOL * abs(total)
         lookahead = abs(term * ratio) / ((k + 1) * (n + k + 1))
         if abs(term) <= bound and lookahead <= bound:
             break
-    return acc.value()
+    return total
 
 
 def spherical_j_int(m: int, x: float) -> float:

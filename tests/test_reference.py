@@ -84,14 +84,24 @@ class TestRefJ:
         assert abs(ref_J(0, root)) < 1e-12
 
     def test_alternating_sum_far_from_small_terms(self):
-        # z = 10 forces many growing-then-shrinking terms; the lookahead stop
-        # and compensation must still deliver near-full precision.
+        # At z = 10 ref_J(0, z) takes Miller's recurrence, where the series
+        # would cancel.
         assert ref_J(0, 10.0) == pytest.approx(-0.2459357644513483, rel=1e-12)
+        # Within the series' reach, up to its edge, the terms grow before
+        # they shrink; the sum still keeps the oracle's accuracy.
+        for n, z in ((64, math.nextafter(math.sqrt(520.0), 0.0)),
+                     (30, math.nextafter(math.sqrt(248.0), 0.0)), (0, 2.8)):
+            assert z * z <= _J_SERIES_REACH * (n + 1)
+            want = float(hp_ref("J", n, z, dps=40))
+            err = abs(ref_J(n, z) - want)
+            assert err <= 1e-13 * abs(want) or err <= 1e-15, (n, z, ref_J(n, z), want)
 
 
-class TestCompensatedLoop:
-    """ref_I and ref_J's series sum in locals; the accumulator-object loops
-    they replaced are kept in the fixtures and must give the same bits."""
+class TestSeriesLoop:
+    """ref_I and ref_J's series step over float indices, and ref_J's stops at
+    its first small term; the fixtures' loops step over int indices, and
+    ref_J_accumulator waits for the term after it too.  Both give the same
+    bits."""
 
     # Small negative arguments check the sign ref_I restores for odd n; at
     # -1e-300 every order n >= 2 underflows to a zero, which stays +0.0.
@@ -173,27 +183,37 @@ class TestMillerJ:
 
 class TestWholeDomainAccuracy:
     """ref_I and ref_J against the fixed-point series hp_ref over the whole
-    domain, n <= 64 and |z| <= 30 of both signs: a fixed draw, and both
-    float neighbours of each switch z**2 = 8 (n + 1) between ref_J's series
-    and Miller's recurrence."""
+    domain, n <= 64 and |z| <= 30 of both signs: a fixed draw, a fixed draw
+    within each order's series reach z**2 <= 8 (n + 1), points 1e-3 apart
+    within 0.05 of the first zeros of J_0 and J_1, where the alternating
+    series cancels most, and both float neighbours of each switch z**2 =
+    8 (n + 1) between ref_J's series and Miller's recurrence."""
 
     DRAW = [(rng.randrange(N_MAX + 1), rng.uniform(-Z_MAX, Z_MAX))
             for rng in [random.Random(25)] for _ in range(2000)]
+    REACH = [(n, rng.uniform(-1.0, 1.0) * math.sqrt(_J_SERIES_REACH * (n + 1)))
+             for rng in [random.Random(29)] for _ in range(3000)
+             for n in [rng.randrange(N_MAX + 1)]]
+    ZEROS = [(n, s * (lo + i / 1000))
+             for n, lo in ((0, 2.3548), (1, 3.7817)) for i in range(101) for s in (1.0, -1.0)]
     SWITCHES = [(n, s * math.nextafter(edge, to))
                 for n in range(N_MAX + 1)
                 for edge in [math.sqrt(_J_SERIES_REACH * (n + 1))]
                 for to in (0.0, math.inf) for s in (1.0, -1.0)]
+    POINTS = DRAW + REACH + ZEROS + SWITCHES
 
     def test_ref_I_relative_error(self):
-        # Over 640,000 points, random draws and a grid of step 0.05, the
-        # largest was 2.9e-15, at (n, z) = (56, 29.85).
+        # Over 682,069 points, random draws over the domain and within J's
+        # series reach, a grid of step 0.05 and points within 0.05 of the
+        # first zeros of J_0 and J_1, the largest was 2.9e-15, at (n, z) =
+        # (59, 17.35).
         worst = max((abs(ref_I(n, z) - want) / abs(want), n, z)
-                    for n, z in self.DRAW + self.SWITCHES
+                    for n, z in self.POINTS
                     for want in [float(hp_ref("I", n, z, dps=40))])
         assert worst[0] < 4e-15, worst
 
     def test_ref_J_relative_or_absolute_error(self):
-        for n, z in self.DRAW + self.SWITCHES:
+        for n, z in self.POINTS:
             want = float(hp_ref("J", n, z, dps=40))
             err = abs(ref_J(n, z) - want)
             assert err <= 1e-13 * abs(want) or err <= 1e-15, (n, z, ref_J(n, z), want)

@@ -432,10 +432,12 @@ def fit_error_slope(
     (_leading_error).  The assembly cancels near z = 0, so a sample's error
     is measured only to 10**-dps times its largest term.  Each sample is
     measured at the digits that put c |z|**t 1e6 above that rounding floor,
-    from ``dps`` up to a cap of 16 times ``dps``; the alternating J error
-    may sit below c |z|**t, so a sample still within 1e3 of the floor is
-    measured once more at the cap, and ``ValueError`` is raised if it is
-    noise there too.  The slope is fitted to the measured errors only.
+    at least 1 and at most a cap of 16 times ``dps``.  The alternating J
+    error may sit below c |z|**t, so a sample still within 1e3 of the floor
+    is measured again, first at ``dps`` digits where those are more, then
+    at the cap, and ``ValueError`` is raised if it is noise there too.  So
+    ``dps`` is no floor on the digits: it sets the fallback and the cap.
+    The slope is fitted to the measured errors only.
     """
     _validate_args(kind, n, p)
     _validate_domain(n, p)
@@ -450,11 +452,12 @@ def fit_error_slope(
     for z in zs:
         top = _largest_term_digits(kind, n, p, z)
         sized = math.ceil(top + 2 * _FLOOR_MARGIN_DIGITS - log_c - t * math.log10(z))
-        work = min(16 * dps, max(dps, sized))
+        work = min(16 * dps, max(1, sized))
         log_err = _log_error(kind, n, p, z, work)
-        if _is_noise(log_err, top, work) and work < 16 * dps:
-            work = 16 * dps
-            log_err = _log_error(kind, n, p, z, work)
+        for rung in (dps, 16 * dps):
+            if work < rung and _is_noise(log_err, top, work):
+                work = rung
+                log_err = _log_error(kind, n, p, z, work)
         if _is_noise(log_err, top, work):
             raise ValueError(
                 f"the error at z={z} is not clear of the rounding floor by 1e3 within "

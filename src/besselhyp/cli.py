@@ -294,7 +294,8 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_scaling.add_argument("--z-max", type=float, default=0.5)
     p_scaling.add_argument("--samples", type=int, default=16)
     p_scaling.add_argument("--dps", type=int, default=50,
-                           help="working digits for the error measurement")
+                           help="digits an error sample falls back to when its sized digits "
+                                "leave it rounding noise; 16 times this caps them")
     _add_format_flags(p_scaling)
     p_scaling.set_defaults(func=cmd_scaling)
 

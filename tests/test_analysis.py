@@ -430,8 +430,9 @@ class TestSlopeFit:
         assert _least_squares_slope([0.0, 1.0, 2.0], [0.0, 1.0, 3.0]) == pytest.approx(1.5, rel=1e-15)
 
     def test_one_measurement_per_sample(self, monkeypatch):
-        # The digits are sized from the error's first term, so no sample is
-        # measured twice, here where --dps 50 alone would be noise.
+        # The digits are sized from the error's first term, 48 to 68 here,
+        # so no sample is measured twice, although 50 digits would leave the
+        # error of some samples rounding noise.
         calls = []
 
         def counted(*args):
@@ -458,6 +459,23 @@ class TestSlopeFit:
         assert 40 < len(calls) <= 80
         assert {args[-1] for args in calls} >= {48}
         assert slope == pytest.approx(0.2615, abs=1e-4)
+
+    def test_alternating_error_below_its_first_term_falls_back_to_dps(self, monkeypatch):
+        # A J sample that is noise at its sized digits is measured again at
+        # dps digits where those are more, and only then at the cap: here 3
+        # samples are measured at 30 digits, none at 480, and the slope is
+        # the one from measuring every sample at 30.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _log_error(*args)
+
+        monkeypatch.setattr(analysis, "_log_error", counted)
+        slope = fit_error_slope("J", 0, 1, 2.0, 30.0, samples=40, dps=30)
+        digits = [args[-1] for args in calls]
+        assert len(digits) == 43 and digits.count(30) == 3 and 480 not in digits
+        assert slope == pytest.approx(0.261480, abs=5e-7)
 
     def test_zero_error_names_dps(self):
         # The (0, 8) error, below 1e-70, calls for more digits than 16 times

@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, formats, exit codes."""
 
 import json
+import math
 import re
 import shlex
 import sys
@@ -409,9 +410,10 @@ class TestScaling:
 
     @pytest.mark.parametrize("n,p,dps,resolved", [(15, 4, "50", "66"), (0, 1, "5", "40")])
     def test_digits_below_the_floor_are_raised(self, capsys, n, p, dps, resolved):
-        # --dps is a floor: a sample whose error would be rounding noise at
-        # dps digits is measured at the digits sized from its first term,
-        # and the fit equals the one at digits that resolve every sample.
+        # --dps is no floor: each sample is measured at the digits sized
+        # from its first term, above dps where dps digits would leave it
+        # rounding noise, so the fit equals the one at digits that resolve
+        # every sample.
         def slope(digits):
             code, out, _ = run(capsys, "scaling", "-n", str(n), "-p", str(p),
                                "--dps", digits)
@@ -421,6 +423,42 @@ class TestScaling:
 
         assert slope(dps) == slope(resolved)
         assert float(slope(dps)) == pytest.approx(max(4 * p - n, n), abs=0.2)
+
+    def test_digits_far_past_the_fit_need_no_longer_series(self, capsys):
+        # --dps 10000 only caps the digits, so the reference series is not
+        # asked for 10000 digits and the row is the one at --dps 50.
+        rows = [run(capsys, "scaling", "-n", "3", "-p", "2", "--samples", "8", "--dps", dps)
+                for dps in ("10000", "50")]
+        assert rows[0] == rows[1] == (
+            EXIT_OK, "kind,n,p,z_min,z_max,samples,slope,expected\nI,3,2,0.1,0.5,8,5.0095,5\n", "")
+
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("dps", [80, 100])
+    @pytest.mark.parametrize("n,p", [(0, 1), (5, 2), (3, 4), (14, 4)])
+    def test_each_sample_is_measured_once_at_its_sized_digits(self, capsys, monkeypatch,
+                                                              kind, n, p, dps):
+        # Shaped as the benchmark's scaling calls: every sample's first term
+        # calls for fewer digits than --dps, and is measured at those alone.
+        from besselhyp import analysis
+
+        calls = []
+        log_error = analysis._log_error
+
+        def counted(*args):
+            calls.append(args)
+            return log_error(*args)
+
+        monkeypatch.setattr(analysis, "_log_error", counted)
+        code, _, err = run(capsys, "scaling", "--kind", kind, "-n", str(n), "-p", str(p),
+                           "--z-min", "0.0953", "--z-max", "0.5712", "--samples", "8",
+                           "--dps", str(dps))
+        assert (code, err) == (EXIT_OK, "")
+        assert len(calls) == 8
+        t, log_c = analysis._leading_error(n, p)
+        for *_, z, digits in calls:
+            top = analysis._largest_term_digits(kind, n, p, z)
+            sized = math.ceil(top + 2 * analysis._FLOOR_MARGIN_DIGITS - log_c - t * math.log10(z))
+            assert digits == max(1, sized) < dps
 
     @pytest.mark.parametrize("dps", ["0", "-3"])
     def test_nonpositive_dps_is_usage_error(self, capsys, dps):
@@ -432,17 +470,27 @@ class TestScaling:
 
 class TestPinnedSlopes:
     """Exact scaling output: the README's slope, its J twin at 120 digits,
-    and one 8-sample call per kind at 100 digits."""
+    and one 8-sample call per kind at 100 digits; each again at another
+    --dps, which only caps the digits and so moves no byte."""
 
     @pytest.mark.parametrize("argv,row", [
         (("-n", "15", "-p", "4"), "I,15,4,0.1,0.5,16,15.0028,15"),
+        (("-n", "15", "-p", "4", "--dps", "200"), "I,15,4,0.1,0.5,16,15.0028,15"),
         (("--kind", "J", "-n", "15", "-p", "4", "--dps", "120"),
+         "J,15,4,0.1,0.5,16,14.9972,15"),
+        (("--kind", "J", "-n", "15", "-p", "4", "--dps", "40"),
          "J,15,4,0.1,0.5,16,14.9972,15"),
         (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
           "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "100"),
          "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
+        (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
+          "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "80"),
+         "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
         (("--kind", "J", "-n", "15", "-p", "4", "--z-min", "0.08856073356854736",
           "--z-max", "0.5497377609163321", "--samples", "8", "--dps", "100"),
+         "J,15,4,0.08856073356854736,0.5497377609163321,8,14.9970,15"),
+        (("--kind", "J", "-n", "15", "-p", "4", "--z-min", "0.08856073356854736",
+          "--z-max", "0.5497377609163321", "--samples", "8", "--dps", "1000"),
          "J,15,4,0.08856073356854736,0.5497377609163321,8,14.9970,15"),
     ])
     def test_csv(self, capsys, argv, row):

@@ -470,25 +470,25 @@ class TestScaling:
 
 class TestPinnedSlopes:
     """Exact scaling output: the README's slope, its J twin at 120 digits,
-    and one 8-sample call per kind at 100 digits; each again at another
+    and one 8-sample call per kind at 100 digits; then each again at another
     --dps, which only caps the digits and so moves no byte."""
 
     @pytest.mark.parametrize("argv,row", [
         (("-n", "15", "-p", "4"), "I,15,4,0.1,0.5,16,15.0028,15"),
-        (("-n", "15", "-p", "4", "--dps", "200"), "I,15,4,0.1,0.5,16,15.0028,15"),
         (("--kind", "J", "-n", "15", "-p", "4", "--dps", "120"),
-         "J,15,4,0.1,0.5,16,14.9972,15"),
-        (("--kind", "J", "-n", "15", "-p", "4", "--dps", "40"),
          "J,15,4,0.1,0.5,16,14.9972,15"),
         (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
           "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "100"),
          "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
-        (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
-          "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "80"),
-         "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
         (("--kind", "J", "-n", "15", "-p", "4", "--z-min", "0.08856073356854736",
           "--z-max", "0.5497377609163321", "--samples", "8", "--dps", "100"),
          "J,15,4,0.08856073356854736,0.5497377609163321,8,14.9970,15"),
+        (("-n", "15", "-p", "4", "--dps", "200"), "I,15,4,0.1,0.5,16,15.0028,15"),
+        (("--kind", "J", "-n", "15", "-p", "4", "--dps", "40"),
+         "J,15,4,0.1,0.5,16,14.9972,15"),
+        (("--kind", "I", "-n", "13", "-p", "4", "--z-min", "0.08866947284711672",
+          "--z-max", "0.5204641395542736", "--samples", "8", "--dps", "80"),
+         "I,13,4,0.08866947284711672,0.5204641395542736,8,13.0036,13"),
         (("--kind", "J", "-n", "15", "-p", "4", "--z-min", "0.08856073356854736",
           "--z-max", "0.5497377609163321", "--samples", "8", "--dps", "1000"),
          "J,15,4,0.08856073356854736,0.5497377609163321,8,14.9970,15"),

@@ -6,9 +6,8 @@ scales like z**(4p-n) (like z**n once n > 2p), which already at p = 3
 and z = 0.1 sits around 1e-20, orders of magnitude under the rounding noise
 of the assembled kernels.  This module therefore reaches them two other ways:
 
-* exact Maclaurin coefficients of the approximant from the exact node
-  power sums (a binomial sum, for every p), and the closed form of the
-  error's first term (_leading_error), which sizes each error sample, and
+* the closed form of the error's first term (_leading_error), one
+  aliased binomial in exact integers, which sizes each error sample, and
 * arbitrary-precision evaluation of both the assembly and the reference
   series, each in fixed-point integers (_approx_fixed, _ref_fixed), for
   error measurements and log-log slope fits.  The assembly takes one call
@@ -26,9 +25,8 @@ arithmetic.  Arguments meet the rules approximation raises, plus dps >= 1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 import mpmath as mp
@@ -36,69 +34,8 @@ from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, ln2_fixed, mpf_di
                           round_nearest, to_fixed)
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .approximation import (_signed_expansion, _validate_args, _validate_domain, _validate_finite,
-                            _validate_int)
-from .coefficients import derive_expansion
-
-
-def node_power_sum(p: int, m: int) -> Fraction:
-    """Exact P(m) = 1 + 2 sum_k c_k**m for even m >= 0, any p >= 1.
-
-    P(0) = 2p - 1, one per node.  For m = 2j >= 2, P(m) / 2p is the
-    4p-point trapezoidal mean of cos**m (the node cos(pi/2) = 0 adds
-    nothing), which is exactly 4**-j sum_{l = j mod 2p} C(2j, l)
-    (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    """
-    _validate_args(p=p)
-    if m < 0 or m % 2:
-        raise ValueError(f"node power sums are exact for even m >= 0, got m={m}")
-    j = m // 2
-    if j == 0:
-        return Fraction(2 * p - 1)
-    total = sum(comb(m, l) for l in range(j % (2 * p), m + 1, 2 * p))
-    return Fraction(2 * p * total, 4**j)
-
-
-def _check_power(t: int) -> None:
-    _validate_int("power t", t)
-    if t < 0:
-        raise ValueError(f"power t must be >= 0, got {t}")
-
-
-def bessel_i_series_coeff(n: int, t: int) -> Fraction:
-    """Exact z**t Maclaurin coefficient of I_n, any int n >= 0 and t >= 0."""
-    _validate_args(n=n)
-    _check_power(t)
-    if t < n or (t - n) % 2:
-        return Fraction(0)
-    k = (t - n) // 2
-    return Fraction(1, 2**t * factorial(k) * factorial(n + k))
-
-
-def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
-    """Exact z**t Maclaurin coefficient of the order-n, parameter-p approximant.
-
-    Expands every kernel as its power series with exact node powers:
-    the z**j kernel coefficient is P(q + j)/j!, so the approximant's z**t
-    coefficient collects P(t + n)/(t + n - q)! over the expansion terms.
-    Defined for every int n >= 0, p >= 1 and t >= 0, n >= 4p included.
-    """
-    _validate_args(n=n, p=p)
-    _check_power(t)
-    if (t - n) % 2:
-        return Fraction(0)
-    if n == 0:
-        coeff = Fraction(1, 2 * p) * node_power_sum(p, t) / factorial(t)
-        if t == 0:
-            coeff += Fraction(1, 2 * p)  # the explicit constant of the averaged form
-        return coeff
-    weight = node_power_sum(p, t + n)
-    acc = Fraction(0)
-    for q, coeff in enumerate(derive_expansion(n), 1):
-        j = t + n - q
-        if j >= 0:
-            acc += Fraction(coeff, factorial(j))
-    return Fraction(1, 2 * p) * weight * acc
+from .approximation import _signed_expansion, _validate_args, _validate_domain, _validate_finite
+from .coefficients import closed_form_row
 
 
 def first_mismatch_order(n: int, p: int) -> int:
@@ -122,14 +59,20 @@ def _leading_error(n: int, p: int) -> tuple[int, float]:
     C(2m, m) / 4**m by the aliased binomials 2 * 4**-m * sum_{j>=1}
     C(2m, m - 2pj) (Trefethen & Weideman, SIAM Rev. 56, 2014).  The inner
     sum first has a term at k0 = max(0, 2p - n), so t = n + 2 k0 =
-    max(4p - n, n), and c is the exact coefficient difference there.  For
-    I every term is positive, so c z**t is a lower bound on the error for
-    z > 0.  log10 c is read from the exact fraction, which no float holds
-    for large p.
+    max(4p - n, n); there m = n + k0 < 4p, so j = 1 is its only term and
+
+        c = 2 * 2**-t * m! / (k0! (m - 2p)! (m + 2p)!).
+
+    For I every term is positive, so c z**t is a lower bound on the error
+    for z > 0.  log10 c is read from the integers of the reduced fraction,
+    which no float holds for large p.
     """
-    t = max(4 * p - n, n)
-    c = approximant_series_coeff(n, p, t) - bessel_i_series_coeff(n, t)
-    return t, math.log10(c.numerator) - math.log10(c.denominator)
+    k0 = max(0, 2 * p - n)
+    m, t = n + k0, n + 2 * k0
+    num = 2 * factorial(m)
+    den = factorial(k0) * factorial(m - 2 * p) * factorial(m + 2 * p) << t
+    g = math.gcd(num, den)
+    return t, math.log10(num // g) - math.log10(den // g)
 
 
 #: Extra fraction bits of the fixed-point twins over the working precision;
@@ -398,7 +341,7 @@ def _largest_term_digits(kind: str, n: int, p: int, z: float) -> float:
 def _coefficient_digits(n: int) -> tuple[tuple[float, int], ...]:
     # (log10 |a(n, q)|, q - n) for each term of the order-n assembly.
     return tuple((math.log10(abs(coeff)), q - n)
-                 for q, coeff in enumerate(derive_expansion(n), 1))
+                 for q, coeff in enumerate(closed_form_row(n), 1))
 
 
 def _log_error(kind: str, n: int, p: int, z: float, dps: int) -> float:
@@ -437,10 +380,12 @@ def fit_error_slope(
     is measured again, first at ``dps`` digits where those are more, then
     at the cap, and ``ValueError`` is raised if it is noise there too.  So
     ``dps`` is no floor on the digits: it sets the fallback and the cap.
-    The slope is fitted to the measured errors only.
+    The slope is fitted to the measured errors only.  Both ends are taken
+    as floats.
     """
     _validate_args(kind, n, p)
     _validate_domain(n, p)
+    z_lo, z_hi = float(z_lo), float(z_hi)
     if not (0.0 < z_lo < z_hi):
         raise ValueError(f"need 0 < z_lo < z_hi, got [{z_lo}, {z_hi}]")
     if samples < 2:

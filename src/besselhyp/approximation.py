@@ -8,7 +8,7 @@ kernel expansion over the nodes c_k = cos(k pi / 2p), k = 1..p-1
     kernel_q(z) = f(z) + sum_k 2 c_k**q f(c_k z),
 
 with f = sinh for odd q and cosh for even q, and a(n, q) the integers
-that coefficients.derive_expansion returns for q = 1..n.  Order 0 is the
+that coefficients.closed_form_row returns for q = 1..n.  Order 0 is the
 single coefficient 1 at q = 0: (1/2p) * (1 + kernel_0(z)), the constant
 added explicitly because the kernel itself carries none.  The circular (J)
 variant is the same assembly at the rotated argument: sin/cos kernels, and
@@ -77,7 +77,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
 
-from .coefficients import derive_expansion, double_factorial
+from .coefficients import closed_form_row, double_factorial
 
 
 class DomainError(ValueError):
@@ -218,16 +218,6 @@ def make_nodes(p: int) -> tuple[float, ...]:
     return tuple(math.cos(k * math.pi / (2 * p)) for k in range(1, p))
 
 
-def _node_power(c: float, q: int) -> float:
-    # Repeated multiplication: q roundings, a relative error of at most about
-    # q u, the size of what rounding c itself to binary64 already puts on
-    # c**q.  The plan asks for q <= n, the node sum (_node_terms) for n + 1.
-    w = 1.0
-    for _ in range(q):
-        w *= c
-    return w
-
-
 def _j_term_sign(q: int) -> int:
     # Sign picked up by the index-q term when the argument rotates onto the
     # imaginary axis; period four in q.  Locked in by the complex-path
@@ -241,16 +231,31 @@ def _signed_expansion(n: int, trig: bool) -> tuple[int, ...]:
     # term q the sign _j_term_sign(q) and the sum the factor (-1)**n, which
     # rides on every coefficient because negation commutes with rounding.
     if not trig:
-        return derive_expansion(n)
+        return closed_form_row(n)
     return tuple((-1) ** n * _j_term_sign(q) * coeff
-                 for q, coeff in enumerate(derive_expansion(n), 1))
+                 for q, coeff in enumerate(closed_form_row(n), 1))
 
 
-@lru_cache(maxsize=None)
+#: Per p, the rows of node weights (2 c_k**q)_k for q = 0, 1, ..., as far as
+#: the highest q asked for; a row that grows is stored as a new tuple.
+_NODE_WEIGHTS: dict[int, tuple[tuple[float, ...], ...]] = {}
+
+
 def _node_weights(p: int, q: int) -> tuple[float, ...]:
     # The node weights 2 c_k**q of the index-q kernel, shared by every n and
-    # both kinds; only the q some plan uses are ever built.
-    return tuple(2.0 * _node_power(c, q) for c in make_nodes(p))
+    # both kinds; rows are built only as far as the q some plan uses.  Each
+    # power is the one below times c_k (q roundings, about q u, what rounding
+    # c_k itself already puts on c_k**q), halved out of its weight and doubled
+    # back exactly, so that a power in the subnormals rounds as c_k**q does.
+    # The plan asks for q <= n, the node sum (_node_terms) for n + 1.
+    rows = _NODE_WEIGHTS.get(p, ())
+    if len(rows) <= q:
+        nodes = make_nodes(p)
+        grown = list(rows) or [(2.0,) * len(nodes)]
+        while len(grown) <= q:
+            grown.append(tuple(2.0 * (0.5 * w * c) for w, c in zip(grown[-1], nodes)))
+        rows = _NODE_WEIGHTS[p] = tuple(grown)
+    return rows[q]
 
 
 def _compile(terms: Iterable[tuple[int, int]], p: int, *, trig: bool) -> tuple:

@@ -24,7 +24,7 @@ import time
 from functools import cache
 
 from .approximation import ApproxRequest, DomainError, _route, evaluate
-from .coefficients import derive_expansion
+from .coefficients import closed_form_row
 from .reference import _validate as check_oracle_args
 from .reference import _ref_I_orders, _ref_J_orders, identity_residual, ref_I, ref_J
 
@@ -146,7 +146,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         sys.set_int_max_str_digits(0)
     try:
         for n in range(1, args.n_max + 1):
-            print(" ".join(str(c) for c in derive_expansion(n)))
+            print(" ".join(str(c) for c in closed_form_row(n)))
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)

@@ -8,12 +8,15 @@ a(n, 1..n) of the reverse Bessel polynomial (DLMF 10.49.1), held as a
 tuple whose index i is q = i + 1; parity and power follow from q.  Those
 integers are derived three independent ways:
 
-* symbolically, by rewriting the term list under the exact derivative
-  rules, once per order from the order below (`derive_expansion`, the
-  authoritative route),
+* from their closed form
+  a(n, q) = (-1)**(n-q) (2n-q-1)! / ((q-1)! (n-q)! 2**(n-q)),
+  entry by entry (`closed_form_coefficient`) or a row at a time by the
+  exact ratio of neighbouring entries (`closed_form_row`, the rows the
+  package runs),
 * from the boundary closed forms plus the interior two-term recurrence
   (`recurrence_table`),
-* from standalone per-column closed forms (`closed_form_coefficient`).
+* symbolically, by rewriting the term list under the exact derivative
+  rules, once per order up from the kernel itself (`derive_expansion`).
 
 All arithmetic uses Python's arbitrary-precision integers, so the routes
 can be compared entry-for-entry with no overflow concerns; the magnitudes
@@ -41,14 +44,48 @@ def double_factorial(m: int) -> int:
     return out
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"expansion order must be >= 1, got {n}")
+
+
+def closed_form_row(n: int) -> tuple[int, ...]:
+    """a(n, q) for q = 1..n from the closed form, built from a(n, n) = 1 down.
+
+    Neighbouring entries of the closed form stand in the ratio
+
+        a(n, q-1) = -a(n, q) (2n-q) (q-1) / (2 (n-q+1)),
+
+    and each step divides exactly, so a row costs n - 1 big-int steps and
+    nothing is kept between calls.
+    """
+    _check_order(n)
+    row = [1]
+    for q in range(n, 1, -1):
+        row.append(-row[-1] * (2 * n - q) * (q - 1) // (2 * (n - q + 1)))
+    return tuple(reversed(row))
+
+
+def closed_form_coefficient(n: int, q: int) -> int:
+    """a(n, q) = (-1)**(n-q) (2n-q-1)! / ((q-1)! (n-q)! 2**(n-q)), 1 <= q <= n.
+
+    The coefficient of the reverse Bessel polynomial (DLMF 10.49.1) with
+    k = n - q, taken on its own from the factorials.
+    """
+    if not 1 <= q <= n:
+        raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
+    k = n - q
+    return (-1) ** k * factorial(n + k - 1) // (factorial(q - 1) * factorial(k) << k)
+
+
 @lru_cache(maxsize=None)
 def derive_expansion(n: int) -> tuple[int, ...]:
     """Symbolic n-fold application of (1/z)(d/dz) to the index-0 cosh kernel.
 
-    Returns a(n, q) for q = 1..n, the same row `recurrence_table` builds;
-    the q = n coefficient is 1.  Order n is one application of the operator
-    to the terms of order n - 1, taken from this function's own cache (order
-    1 to the kernel itself), so a new order costs one rewrite, not n.
+    Returns a(n, q) for q = 1..n, the same row `recurrence_table` and
+    `closed_form_row` build; the q = n coefficient is 1.  The operator is
+    applied n times, up from the kernel itself, and only the order asked
+    for is cached: a cold order costs n rewrites and holds one term list.
 
     Rewrite rules, exact on the term list:
 
@@ -59,25 +96,17 @@ def derive_expansion(n: int) -> tuple[int, ...]:
     terms merge on the key (q, m), m the z exponent; merged-to-zero
     coefficients drop.
     """
-    if n < 1:
-        raise ValueError(f"expansion order must be >= 1, got {n}")
-    if n == 1:
-        cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    else:
-        # The orders below are asked for in ascending order first, so each
-        # is one rewrite of a cached order and no call nests more than two
-        # deep, however high the first n.
-        for k in range(1, n - 1):
-            derive_expansion(k)
-        cur = {(q, q - 2 * (n - 1)): c for q, c in enumerate(derive_expansion(n - 1), 1)}
-    nxt: dict[tuple[int, int], int] = {}
-    for (q, m), c in cur.items():
-        if m != 0:
-            key = (q, m - 2)  # power-rule term, then the 1/z shift
-            nxt[key] = nxt.get(key, 0) + c * m
-        key = (q + 1, m - 1)  # index-raising term, then the 1/z shift
-        nxt[key] = nxt.get(key, 0) + c
-    cur = {k: v for k, v in nxt.items() if v != 0}
+    _check_order(n)
+    cur: dict[tuple[int, int], int] = {(0, 0): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, int], int] = {}
+        for (q, m), c in cur.items():
+            if m != 0:
+                key = (q, m - 2)  # power-rule term, then the 1/z shift
+                nxt[key] = nxt.get(key, 0) + c * m
+            key = (q + 1, m - 1)  # index-raising term, then the 1/z shift
+            nxt[key] = nxt.get(key, 0) + c
+        cur = {k: v for k, v in nxt.items() if v != 0}
 
     # Structural guarantees of the rewrite; cheap to keep as hard checks.
     assert sorted(cur) == [(q, q - 2 * n) for q in range(1, n + 1)]
@@ -96,8 +125,8 @@ def recurrence_table(n_max: int) -> dict[int, tuple[int, ...]]:
 
         a(n, q) = a(n-1, q-1) - (2n - q - 2) * a(n-1, q),   3 <= q <= n-2.
 
-    Independent of `derive_expansion`; the two must agree exactly, which the
-    test suite asserts entry-for-entry.
+    Independent of `derive_expansion` and `closed_form_row`; the three must
+    agree exactly, which the test suite asserts entry-for-entry.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -113,32 +142,3 @@ def recurrence_table(n_max: int) -> dict[int, tuple[int, ...]]:
         entries[(n, n)] = 1
     return {n: tuple(entries[(n, q)] for q in range(1, n + 1))
             for n in range(1, n_max + 1)}
-
-
-def closed_form_coefficient(n: int, q: int) -> int:
-    """Standalone closed forms for q in {1, 2, 3, 4, n-1, n}.
-
-    The q = 4 value is the factorial-weighted sum of double factorials
-    2**(n-4-j) (n-3)!/j! (2j+1)!! over j = 0..n-4, with overall sign
-    (-1)**n.  Its general-n validity is asserted against the symbolic route
-    for n <= 31, every order a p <= 8 approximant uses, not assumed beyond.
-    """
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
-    if q == n:
-        return 1
-    if q == n - 1:
-        return -(n * (n - 1)) // 2
-    if q == 1:
-        return (-1) ** (n + 1) * double_factorial(2 * n - 3)
-    if q == 2:
-        return (-1) ** n * double_factorial(2 * n - 3)
-    if q == 3:
-        return (-1) ** (n + 1) * (n - 2) * double_factorial(2 * n - 5)
-    if q == 4:
-        base = factorial(n - 3)
-        total = 0
-        for j in range(n - 3):
-            total += 2 ** (n - 4 - j) * (base // factorial(j)) * double_factorial(2 * j + 1)
-        return (-1) ** n * total
-    raise ValueError(f"no closed form for q={q} at n={n}; use the symbolic route")

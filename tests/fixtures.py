@@ -25,24 +25,101 @@ stopping at the first small term, must match bit for bit.
 stepping over int factors 2l + 1, which ``_spherical_j`` and
 ``_group_sum``, stepping over the same factors as floats, must match bit for
 bit.
+``node_power`` is the node power c**q by repeated multiplication, which the
+plan's running rows of node weights must match bit for bit, and
+``node_power_sum``/``bessel_i_series_coeff``/``approximant_series_coeff``
+are the exact Maclaurin coefficients of the approximant and of I_n, from
+the symbolic coefficient route, that the closed form of the error's first
+term (``analysis._leading_error``) is checked against.
 """
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Callable
 
 import mpmath as mp
 
 from besselhyp.analysis import _twin_argument
-from besselhyp.approximation import (_compile, _j_term_sign, _node_power, _rescaled_plan_value,
-                                     _signed_expansion, make_nodes)
+from besselhyp.approximation import (_compile, _j_term_sign, _rescaled_plan_value,
+                                     _signed_expansion, _validate_args, _validate_int, make_nodes)
 from besselhyp.coefficients import derive_expansion
 from besselhyp.reference import _MAX_TERMS, _TOL, _leading_term, _validate
 
 #: Every order a p <= 8 approximant uses (n < 4p); the coefficient routes
 #: are cross-checked over all of them.
 N_MAX_TESTED = 4 * 8 - 1
+
+
+def node_power(c: float, q: int) -> float:
+    """c**q by repeated multiplication: q roundings, in ascending order."""
+    w = 1.0
+    for _ in range(q):
+        w *= c
+    return w
+
+
+def node_power_sum(p: int, m: int) -> Fraction:
+    """Exact P(m) = 1 + 2 sum_k c_k**m for even m >= 0, any p >= 1.
+
+    P(0) = 2p - 1, one per node.  For m = 2j >= 2, P(m) / 2p is the
+    4p-point trapezoidal mean of cos**m (the node cos(pi/2) = 0 adds
+    nothing), which is exactly 4**-j sum_{l = j mod 2p} C(2j, l)
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    """
+    _validate_args(p=p)
+    if m < 0 or m % 2:
+        raise ValueError(f"node power sums are exact for even m >= 0, got m={m}")
+    j = m // 2
+    if j == 0:
+        return Fraction(2 * p - 1)
+    total = sum(comb(m, l) for l in range(j % (2 * p), m + 1, 2 * p))
+    return Fraction(2 * p * total, 4**j)
+
+
+def _check_power(t: int) -> None:
+    _validate_int("power t", t)
+    if t < 0:
+        raise ValueError(f"power t must be >= 0, got {t}")
+
+
+def bessel_i_series_coeff(n: int, t: int) -> Fraction:
+    """Exact z**t Maclaurin coefficient of I_n, any int n >= 0 and t >= 0."""
+    _validate_args(n=n)
+    _check_power(t)
+    if t < n or (t - n) % 2:
+        return Fraction(0)
+    k = (t - n) // 2
+    return Fraction(1, 2**t * factorial(k) * factorial(n + k))
+
+
+def approximant_series_coeff(n: int, p: int, t: int) -> Fraction:
+    """Exact z**t Maclaurin coefficient of the order-n, parameter-p approximant.
+
+    Expands every kernel as its power series with exact node powers:
+    the z**j kernel coefficient is P(q + j)/j!, so the approximant's z**t
+    coefficient collects P(t + n)/(t + n - q)! over the expansion terms
+    (derive_expansion's).  Defined for every int n >= 0, p >= 1 and t >= 0,
+    n >= 4p included.
+    """
+    _validate_args(n=n, p=p)
+    _check_power(t)
+    if (t - n) % 2:
+        return Fraction(0)
+    if n == 0:
+        coeff = Fraction(1, 2 * p) * node_power_sum(p, t) / factorial(t)
+        if t == 0:
+            coeff += Fraction(1, 2 * p)  # the explicit constant of the averaged form
+        return coeff
+    weight = node_power_sum(p, t + n)
+    acc = Fraction(0)
+    for q, coeff in enumerate(derive_expansion(n), 1):
+        j = t + n - q
+        if j >= 0:
+            acc += Fraction(coeff, factorial(j))
+    return Fraction(1, 2 * p) * weight * acc
 
 
 def _require_finite(z: float) -> None:
@@ -54,7 +131,7 @@ def _weighted_sum(fn: Callable[[float], float], q: int, nodes: tuple[float, ...]
                   z: float) -> float:
     total = fn(z)
     for c in nodes:
-        total += 2.0 * _node_power(c, q) * fn(c * z)
+        total += 2.0 * node_power(c, q) * fn(c * z)
     return total
 
 
@@ -174,7 +251,7 @@ def _approx_J_complex(n: int, p: int, z: float) -> complex:
         fn = cmath.sinh if q % 2 else cmath.cosh
         value = fn(w)
         for c in nodes:
-            value += 2.0 * _node_power(c, q) * fn(c * w)
+            value += 2.0 * node_power(c, q) * fn(c * w)
         acc = coeff * value if q == 1 else acc / w + coeff * value
     return (1j ** n) * acc / (2 * p)
 

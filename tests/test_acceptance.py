@@ -18,14 +18,10 @@ from besselhyp import (
     ref_I,
     tail_I0,
 )
-from besselhyp.analysis import (
-    approximant_series_coeff,
-    bessel_i_series_coeff,
-    first_mismatch_order,
-    fit_error_slope,
-    hp_error,
-)
-from fixtures import N_MAX_TESTED, _approx_J_complex, closed_form_p2, plan_value
+from besselhyp.analysis import first_mismatch_order, fit_error_slope, hp_error
+from besselhyp.coefficients import closed_form_row
+from fixtures import (N_MAX_TESTED, _approx_J_complex, approximant_series_coeff,
+                      bessel_i_series_coeff, closed_form_p2, plan_value)
 
 # Two-significant-figure relative-error targets for the p=2 grid.
 EXPECTED_REL_ERRORS = {
@@ -64,11 +60,9 @@ def test_criterion_2_coefficient_triple_agreement():
     ok = True
     for n in range(1, N_MAX_TESTED + 1):
         derived = derive_expansion(n)
-        ok = ok and table[n] == derived
-        covered = {1, 2, 3, 4, n - 1, n}
+        ok = ok and table[n] == derived == closed_form_row(n)
         for q in range(1, n + 1):
-            if q in covered:
-                ok = ok and closed_form_coefficient(n, q) == derived[q - 1]
+            ok = ok and closed_form_coefficient(n, q) == derived[q - 1]
     pins = (
         derive_expansion(1) == (1,)
         and derive_expansion(2) == (-1, 1)

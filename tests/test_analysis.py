@@ -17,17 +17,15 @@ from besselhyp.analysis import (
     _leading_error,
     _least_squares_slope,
     _log_error,
-    approximant_series_coeff,
-    bessel_i_series_coeff,
     first_mismatch_order,
     fit_error_slope,
     hp_approx,
     hp_error,
     hp_ref,
-    node_power_sum,
 )
 from besselhyp.approximation import DomainError
-from fixtures import hp_approx_mpf, hp_approx_per_term, hp_ref_mpf_loop, plan_value
+from fixtures import (approximant_series_coeff, bessel_i_series_coeff, hp_approx_mpf,
+                      hp_approx_per_term, hp_ref_mpf_loop, node_power_sum, plan_value)
 
 
 class TestNodePowerSum:
@@ -105,13 +103,12 @@ class TestSeriesCoefficients:
         assert first_mismatch_order(n, p) == cut
 
     def test_first_mismatch_builds_no_coefficient(self, monkeypatch):
-        # The order is max(4p - n, n) from the arguments alone: the exact
-        # first error coefficient, which costs seconds at large p, is not
-        # built only to be dropped.
+        # The order is max(4p - n, n) from the arguments alone: the first
+        # error coefficient, factorials of about 4p, is not built only to be
+        # dropped.
         def refuse(*args):
             raise AssertionError("coefficient built")
 
-        monkeypatch.setattr(analysis, "approximant_series_coeff", refuse)
         monkeypatch.setattr(analysis, "_leading_error", refuse)
         assert first_mismatch_order(50, 3000) == 11950
         assert first_mismatch_order(40, 12) == 40
@@ -135,6 +132,17 @@ class TestSeriesCoefficients:
             assert lead_t == t == n + 2 * k0, (n, p)
             assert log_c == pytest.approx(math.log10(c.numerator) - math.log10(c.denominator),
                                           rel=0, abs=1e-12), (n, p)
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_leading_error_is_the_exact_difference(self, p):
+        # The closed form's reduced fraction is the exact coefficient
+        # difference of the series references, so log10 c is read from the
+        # same two integers, bit for bit.
+        for n in range(4 * p):
+            t = first_mismatch_order(n, p)
+            c = approximant_series_coeff(n, p, t) - bessel_i_series_coeff(n, t)
+            assert _leading_error(n, p) == (
+                t, math.log10(c.numerator) - math.log10(c.denominator)), (n, p)
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_hyperbolic_error_is_at_least_its_first_term(self, p):
@@ -414,6 +422,11 @@ class TestSlopeFit:
             fit_error_slope("I", 0, 1, 0.1, 0.5, samples=1)
         with pytest.raises(ValueError, match="dps"):
             fit_error_slope("I", 0, 1, 0.1, 0.5, dps=0)
+
+    def test_int_bounds_fit_as_their_floats(self):
+        # Both ends are taken as floats, so an int end samples the same grid.
+        assert fit_error_slope("I", 0, 1, 0.1, 1, samples=8) == 4.018374328219015
+        assert fit_error_slope("I", 0, 1, 0.1, 1.0, samples=8) == 4.018374328219015
 
     def test_geometric_grid(self):
         # Both ends exactly as given, a constant ratio in between.

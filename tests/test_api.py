@@ -1,5 +1,6 @@
 """The package's public names, and the settings it does not have."""
 
+import ast
 import importlib.util
 import inspect
 import os
@@ -140,6 +141,25 @@ def test_library_import_loads_none_of_the_tools(module):
     # what only the analysis twins, the oracle or the CLI use: each would add
     # to every cold start.
     assert not _import_loads(module, imported="besselhyp")
+
+
+def test_analysis_import_loads_no_fractions():
+    # The error's first term is read from integers: the twins and the slope
+    # fit need no exact rationals.
+    assert not _import_loads("fractions", imported="besselhyp.analysis")
+
+
+def test_no_module_imports_fractions():
+    package = Path(besselhyp.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "fractions" for name in names), path.name
 
 
 def test_library_import_loads_only_the_evaluator():

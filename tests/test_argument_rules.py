@@ -2,11 +2,12 @@
 
 The approximant's rules for (kind, n, p, z) are raised by ``approximation``
 alone: every other entry point that takes those arguments raises exactly
-what ``ApproxRequest`` raises for them.  The exact series coefficients take
-the rules for n and p but not n < 4p, for they exist at every order.  The
-oracle keeps its own rules and imports nothing from the package.  The
-structure checks read the source, so a copy of a rule that drifts back in
-fails here before its wording does.
+what ``ApproxRequest`` raises for them.  The exact series coefficients of
+``fixtures``, the references the error's closed form is checked against,
+call the same rules for n and p, but not n < 4p, for they exist at every
+order.  The oracle keeps its own rules and imports nothing from the
+package.  The structure checks read the source, so a copy of a rule that
+drifts back in fails here before its wording does.
 """
 
 import ast
@@ -16,18 +17,10 @@ from pathlib import Path
 import pytest
 
 import besselhyp
-from besselhyp.analysis import (
-    approximant_series_coeff,
-    bessel_i_series_coeff,
-    first_mismatch_order,
-    fit_error_slope,
-    hp_approx,
-    hp_error,
-    hp_ref,
-    node_power_sum,
-)
+from besselhyp.analysis import first_mismatch_order, fit_error_slope, hp_approx, hp_error, hp_ref
 from besselhyp.approximation import ApproxRequest, DomainError, make_nodes
 from besselhyp.cli import EXIT_DOMAIN, EXIT_USAGE, main
+from fixtures import approximant_series_coeff, bessel_i_series_coeff, node_power_sum
 
 NAN, INF = float("nan"), float("inf")
 #: Exact numbers whose float overflows: no binary64 argument.
@@ -64,8 +57,8 @@ BAD = [
     (("I", 4, 1, -2.5), "n<4p", DomainError, "order n=4 needs n < 4p = 4" + MATCHED),
 ]
 
-#: Every entry point outside ApproxRequest that takes these arguments: the
-#: rules it takes, and a call of it.
+#: Every entry point outside ApproxRequest that takes these arguments, and
+#: the fixtures' exact series references: the rules it takes, and a call of it.
 ENTRY_POINTS = {
     "hp_approx": ("kind n p z n<4p", lambda kind, n, p, z: hp_approx(kind, n, p, z, dps=20)),
     "hp_error": ("kind n p z n<4p", lambda kind, n, p, z: hp_error(kind, n, p, z, dps=20)),

@@ -31,7 +31,8 @@ from besselhyp.approximation import (
     _runner,
     _sum_series,
 )
-from fixtures import horner_size, kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, plan_value
+from fixtures import (horner_size, kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, node_power,
+                      plan_value)
 
 # Negative and fractional arguments, the cancellation region near zero, and
 # both sides of the binary64 edge of sinh/cosh (about 710.48).
@@ -167,14 +168,24 @@ def test_weight_rows_are_shared_across_orders_and_kinds():
                 assert row is rows[q]
 
 
-def test_plan_builds_only_the_rows_it_uses():
+def test_plan_builds_only_the_rows_it_uses(monkeypatch):
     # A large p is compiled for the q of its own order only, not for every
-    # q < 4p at once.
+    # q < 4p at once: the rows q = 0, 1, 2 of an order-2 plan.
     p = 1009
-    before = _node_weights.cache_info().currsize
+    monkeypatch.setattr(approximation, "_ROUTES", {})
+    monkeypatch.setattr(approximation, "_NODE_WEIGHTS", {})
     _route(2, p, "I")
-    assert _node_weights.cache_info().currsize - before == 2
+    assert len(approximation._NODE_WEIGHTS[p]) == 3
     assert len(_node_weights(p, 1)) == p - 1
+
+
+@pytest.mark.parametrize("p", [*range(1, 41), 1009, 2000])
+def test_weight_rows_equal_repeated_multiplication(p):
+    # Each row is the row below times the nodes, and every weight is bit for
+    # bit 2 c_k**q by q multiplications, at large p in the subnormals too.
+    for q in range(110):
+        want = [2.0 * node_power(c, q) for c in make_nodes(p)]
+        assert [w.hex() for w in _node_weights(p, q)] == [w.hex() for w in want], q
 
 
 @pytest.mark.parametrize("trig", [False, True], ids=["I", "J"])

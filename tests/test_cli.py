@@ -328,7 +328,7 @@ class TestCoeffs:
         # From n = 1425 a(n, 1) has more than the 4300 digits Python converts
         # by default; the command prints it and restores the limit.
         big = 10 ** 4999 + 1
-        monkeypatch.setattr(cli, "derive_expansion", lambda n: (big, 1))
+        monkeypatch.setattr(cli, "closed_form_row", lambda n: (big, 1))
         limit = sys.get_int_max_str_digits()
         code, out, _ = run(capsys, "coeffs", "--n-max", "1")
         assert code == EXIT_OK

@@ -1,7 +1,8 @@
 """Exact-arithmetic tests for the coefficient engine.
 
 The printed low-order expansions pin the derivation; the recurrence table
-and the standalone closed forms must agree with it integer-for-integer.
+and the closed form, by rows and entry by entry, must agree with it
+integer-for-integer.
 """
 
 import os
@@ -18,7 +19,9 @@ from besselhyp import (
     double_factorial,
     recurrence_table,
 )
+from besselhyp import ApproxRequest, approximation, evaluate
 from besselhyp.approximation import _route
+from besselhyp.coefficients import closed_form_row
 from fixtures import N_MAX_TESTED
 
 # Printed expansions for orders 1..4: a(n, q) for q = 1..n.
@@ -58,10 +61,25 @@ class TestDeriveExpansion:
     def test_true_is_order_one(self):
         assert derive_expansion(True) == (1,)
 
+    def test_cold_order_caches_itself_alone(self):
+        # The orders below are rewritten on the way up but not kept: a cold
+        # order adds one cache entry, not n.
+        derive_expansion.cache_clear()
+        assert derive_expansion(57) == closed_form_row(57)
+        assert derive_expansion.cache_info().currsize == 1
+
+    def test_evaluator_reads_the_closed_form(self, monkeypatch):
+        # A cold route at the last admitted order takes its rows from the
+        # closed form: the symbolic route is a cross-check only.
+        monkeypatch.setattr(approximation, "_ROUTES", {})
+        derive_expansion.cache_clear()
+        evaluate(ApproxRequest("J", 108, 40, 300.0))
+        info = derive_expansion.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
     def test_cold_high_order_nests_no_deeper_than_a_constant(self):
-        # Each order is one rewrite of the order below, and the orders below
-        # are asked for in ascending order, so a first call at a high order
-        # runs under a recursion limit far below that order.
+        # The rewrite runs up from the kernel in one loop, so a first call at
+        # a high order runs under a recursion limit far below that order.
         env = dict(os.environ)
         src_dir = str(Path(besselhyp.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
@@ -136,21 +154,48 @@ class TestClosedFormCoefficient:
         (6, 1, -945),
         (5, 3, 45),
         (6, 4, 105),
+        # Past q = 4: (2n-q-1)! / ((q-1)! (n-q)! 2**(n-q)), signed.
+        (8, 6, 378),
+        (10, 7, -13860),
+        (12, 9, -45045),
     ])
     def test_values(self, n, q, expected):
         assert closed_form_coefficient(n, q) == expected
 
-    def test_rejects_uncovered_column(self):
-        with pytest.raises(ValueError):
-            closed_form_coefficient(9, 5)
+    def test_fifth_column_has_a_value(self):
+        # No column is left to the symbolic route: (9, 5), once refused,
+        # is 12! / (4! 4! 2**4).
+        assert closed_form_coefficient(9, 5) == derive_expansion(9)[4] == 51975
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_form_coefficient(3, 4)
+        for n, q in ((3, 4), (3, 0), (0, 0)):
+            with pytest.raises(ValueError):
+                closed_form_coefficient(n, q)
 
     @pytest.mark.parametrize("n", range(1, N_MAX_TESTED + 1))
     def test_agrees_with_derivation_everywhere_covered(self, n):
-        covered = {1, 2, 3, 4, n - 1, n}
+        # Every column is covered.
         for q, coeff in enumerate(derive_expansion(n), 1):
-            if q in covered:
-                assert closed_form_coefficient(n, q) == coeff
+            assert closed_form_coefficient(n, q) == coeff
+
+
+class TestClosedFormRow:
+    def test_equals_the_recurrence_table_to_order_300(self):
+        table = recurrence_table(300)
+        for n in range(1, 301):
+            assert closed_form_row(n) == table[n], n
+
+    @pytest.mark.parametrize("n", [*range(1, N_MAX_TESTED + 1), 108, 300])
+    def test_equals_the_derivation(self, n):
+        row = closed_form_row(n)
+        assert row == derive_expansion(n)
+        assert type(row) is tuple and all(type(c) is int for c in row)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 31, 108])
+    def test_equals_the_coefficients_one_by_one(self, n):
+        assert closed_form_row(n) == tuple(closed_form_coefficient(n, q) for q in range(1, n + 1))
+
+    def test_rejects_nonpositive_order(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"expansion order must be >= 1, got {n}"):
+                closed_form_row(n)

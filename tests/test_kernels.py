@@ -12,8 +12,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from besselhyp.approximation import _node_power, make_nodes
-from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh
+from besselhyp.approximation import make_nodes
+from fixtures import kernel_cos, kernel_cosh, kernel_sin, kernel_sinh, node_power
 
 # Frozen from 40-digit evaluations of the defining sums, e.g.
 # sinh(1) + sqrt(2) sinh(1/sqrt 2) for the first entry.
@@ -99,8 +99,8 @@ class TestKernelValues:
             kernel_cos(0, make_nodes(2), bad)
 
     def test_node_power_matches_pow(self):
-        assert _node_power(0.7, 0) == 1.0
-        assert _node_power(0.7, 3) == pytest.approx(0.7**3, rel=1e-15)
+        assert node_power(0.7, 0) == 1.0
+        assert node_power(0.7, 3) == pytest.approx(0.7**3, rel=1e-15)
 
 
 class TestParity:
@@ -158,7 +158,7 @@ class TestContinuation:
         w = complex(0.0, -z)
         rotated = cmath.sinh(w)
         for c in nodes:
-            rotated += 2.0 * _node_power(c, q) * cmath.sinh(c * w)
+            rotated += 2.0 * node_power(c, q) * cmath.sinh(c * w)
         expected = complex(0.0, -kernel_sin(q, nodes, z))
         assert abs(rotated - expected) <= 1e-12 * max(abs(expected), 1e-300)
 
@@ -170,6 +170,6 @@ class TestContinuation:
         w = complex(0.0, -z)
         rotated = cmath.cosh(w)
         for c in nodes:
-            rotated += 2.0 * _node_power(c, q) * cmath.cosh(c * w)
+            rotated += 2.0 * node_power(c, q) * cmath.cosh(c * w)
         expected = complex(kernel_cos(q, nodes, z), 0.0)
         assert abs(rotated - expected) <= 1e-12 * max(abs(expected), 1e-300)

@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselhyp import ApproxRequest, Binary64OverflowError, approximation, evaluate
-from besselhyp.analysis import approximant_series_coeff, node_power_sum
 from besselhyp.approximation import (
     _COND_MAX,
     _COSH_EDGE,
@@ -42,8 +41,8 @@ from besselhyp.approximation import (
     make_nodes,
 )
 from besselhyp.coefficients import double_factorial
-from fixtures import (group_sum_int, horner_size, plan_value, spherical_approximant,
-                      spherical_j_int)
+from fixtures import (approximant_series_coeff, group_sum_int, horner_size, node_power_sum,
+                      plan_value, spherical_approximant, spherical_j_int)
 
 TOL = 1e-12
 
@@ -240,7 +239,7 @@ def test_hyperbolic_route_past_the_plan_builds_none(monkeypatch):
         raise AssertionError("a plan of an I route from n = 66 was built")
 
     monkeypatch.setattr(approximation, "_ROUTES", {})
-    for name in ("_compile", "_signed_expansion", "derive_expansion", "_node_weights",
+    for name in ("_compile", "_signed_expansion", "closed_form_row", "_node_weights",
                  "_runner", "make_nodes"):
         monkeypatch.setattr(approximation, name, never)
     past = (math.nextafter(_COSH_EDGE, math.inf), -720.0, 1e300)

@@ -657,15 +657,23 @@ def _node_sum(n: int, p: int, az: float) -> float:
 def evaluate(req: ApproxRequest) -> float:
     """Evaluate the approximant of I_n (kind "I") or J_n (kind "J").
 
-    Each point takes the cheapest well-conditioned path: the series below
-    the (kind, n, p) crossover or ``req.eps``, else the plan; for J with
-    n >= 2 the plan only where its Horner bound is within the route's
-    reach, and only where that bound stays within the condition limit of
-    the result, else the node sum by recurrence.  The route is one dict
-    lookup, and the plan runs here from the route's fields, rescaled from
-    the same fields where the run overflows.  An I route from n = 66 holds
-    no plan: past the edge of cosh, the only points its series leaves, it
-    raises Binary64OverflowError through the same overflow branch.
+    Each point takes the cheapest well-conditioned path, tried in this
+    order: the series below the (kind, n, p) crossover or ``req.eps``; else
+    the plan, which for J with n >= 2 runs only where its Horner bound is
+    within the route's reach and is kept only where that bound stays within
+    the condition limit of the result; else the node sum by recurrence, from
+    the one call at the end.  The route is one dict lookup, and the plan
+    runs here from the route's fields, rescaled from the same fields where
+    the run overflows.  An I route from n = 66 holds no plan: past the edge
+    of cosh, the only points its series leaves, it raises
+    Binary64OverflowError through the same overflow branch.
+
+    The approximant is even or odd with n, A_n(-z) = (-1)**n A_n(z).  The
+    series and the node sum are taken at |z| and share the one sign line
+    at the end; the plan runs at the signed z and returns its value as it
+    is, since its sinh/sin kernels and its acc / z steps carry the sign
+    bit for bit, and a detour through |z| would cost the plan's hot path a
+    branch and a negation.
     """
     n, p, z, kind = req.n, req.p, req.z, req.kind
     try:
@@ -674,28 +682,24 @@ def evaluate(req: ApproxRequest) -> float:
         route = _route(n, p, kind)
     below, lead, ratios, run, odd, even, steps, bound, reach, limit = route
     az = abs(z)
-    if az < below:
-        value = _sum_series(lead, ratios, n, az, kind == "J")
-        if value is not None:
-            return -value if z < 0 and n % 2 else value
-    if bound:
-        size = 0.0
-        for m in bound:
-            size = size / az + m
-        if size > reach:
-            value = _node_sum(n, p, az)
-            return -value if z < 0 and n % 2 else value
-    try:
-        acc = run(z, odd, even, steps)
-    except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
-        acc = math.inf
-    if not math.isfinite(acc):
-        value = _rescaled_plan_value(run, odd, even, steps, n, p, z)
-    elif n == 0:
-        value = (1.0 + acc) / (2 * p)
-    else:
-        value = acc / (2 * p)
-    if not bound or size <= limit * abs(value):
-        return value
-    value = _node_sum(n, p, az)
+    value = _sum_series(lead, ratios, n, az, kind == "J") if az < below else None
+    if value is None:
+        if bound:
+            size = 0.0
+            for m in bound:
+                size = size / az + m
+        if not bound or size <= reach:
+            try:
+                acc = run(z, odd, even, steps)
+            except OverflowError:  # sinh/cosh, or a term or sum beyond binary64
+                acc = math.inf
+            if not math.isfinite(acc):
+                value = _rescaled_plan_value(run, odd, even, steps, n, p, z)
+            elif n == 0:
+                value = (1.0 + acc) / (2 * p)
+            else:
+                value = acc / (2 * p)
+            if not bound or size <= limit * abs(value):
+                return value
+        value = _node_sum(n, p, az)
     return -value if z < 0 and n % 2 else value

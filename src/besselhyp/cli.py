@@ -83,6 +83,15 @@ def _emit_rows(rows: list[tuple], fmt: str, full: bool) -> None:
     print(CSV_HEADER, *[line % row for row in rows], sep="\n")
 
 
+def _emit_one(fmt: str, header: str, line: str, values: tuple) -> None:
+    # A one-row report: the header and line % values, or one JSON object
+    # keyed by the header's columns.
+    if fmt == "json":
+        _print_json(dict(zip(header.split(","), values)))
+    else:
+        print(header, line % values, sep="\n")
+
+
 def _print_json(value: object) -> None:
     # json loads only for --format json.
     import json
@@ -161,17 +170,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ValueError(f"scaling fit needs >= 8 samples, got {args.samples}")
     slope = fit_error_slope(args.kind, args.n, args.p, args.z_min, args.z_max,
                             args.samples, dps=args.dps)
-    expected = first_mismatch_order(args.n, args.p)
-    if args.format == "json":
-        _print_json({
-            "kind": args.kind, "n": args.n, "p": args.p,
-            "z_min": args.z_min, "z_max": args.z_max,
-            "samples": args.samples, "slope": slope, "expected": expected,
-        })
-    else:
-        print("kind,n,p,z_min,z_max,samples,slope,expected")
-        print(f"{args.kind},{args.n},{args.p},{args.z_min},{args.z_max},"
-              f"{args.samples},{slope:.4f},{expected}")
+    _emit_one(args.format, "kind,n,p,z_min,z_max,samples,slope,expected",
+              "%s,%d,%d,%s,%s,%d,%.4f,%d",
+              (args.kind, args.n, args.p, args.z_min, args.z_max, args.samples, slope,
+               first_mismatch_order(args.n, args.p)))
     return EXIT_OK
 
 
@@ -202,18 +204,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         oracle_samples.append((time.perf_counter_ns() - start) / len(zs))
 
     from statistics import median  # loads only for bench
-    approx_ns = median(approx_samples)
-    oracle_ns = median(oracle_samples)
-    if args.format == "json":
-        _print_json({
-            "kind": args.kind, "n": args.n, "p": args.p, "points": len(zs),
-            "repetitions": args.repetitions, "approx_ns_median": approx_ns,
-            "oracle_ns_median": oracle_ns,
-        })
-    else:
-        print("kind,n,p,points,repetitions,approx_ns_median,oracle_ns_median")
-        print(f"{args.kind},{args.n},{args.p},{len(zs)},{args.repetitions},"
-              f"{approx_ns:.1f},{oracle_ns:.1f}")
+    _emit_one(args.format, "kind,n,p,points,repetitions,approx_ns_median,oracle_ns_median",
+              "%s,%d,%d,%d,%d,%.1f,%.1f",
+              (args.kind, args.n, args.p, len(zs), args.repetitions,
+               median(approx_samples), median(oracle_samples)))
     return EXIT_OK
 
 
@@ -222,23 +216,23 @@ def cmd_identities(args: argparse.Namespace) -> int:
         raise ValueError(f"tolerance must be a number >= 0, got {args.tol}")
     ps = sorted(set(_parse_ints(args.p)))
     zs = _parse_floats(args.z)
-    rows: list[tuple[str, str, float]] = []
+    rows: list[tuple[str, int | None, float]] = []
     for tag in ("N2", "N4", "N8"):
         worst = max(abs(identity_residual(tag, z)) for z in zs)
-        rows.append((tag, "", worst))
+        rows.append((tag, None, worst))
     for p in ps:
         for tag in ("N4P", "J4P"):
             worst = max(abs(identity_residual(tag, z, p=p)) for z in zs)
-            rows.append((tag, str(p), worst))
+            rows.append((tag, p, worst))
     if args.format == "json":
         _print_json([
-            {"identity": tag, "p": p or None, "max_abs_residual": worst}
+            {"identity": tag, "p": p, "max_abs_residual": worst}
             for tag, p, worst in rows
         ])
     else:
         print("identity,p,max_abs_residual")
         for tag, p, worst in rows:
-            print(f"{tag},{p},{worst:.1e}")
+            print(f"{tag},{'' if p is None else p},{worst:.1e}")
     overall = max(worst for _, _, worst in rows)
     if overall > args.tol:
         print(f"identity residual {overall:.3e} exceeds tolerance {args.tol:.3e}",

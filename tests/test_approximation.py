@@ -260,6 +260,16 @@ class TestParity:
         minus = evaluate(ApproxRequest("J", n, p, -z))
         assert minus == (plus if n % 2 == 0 else -plus)
 
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("n", [1, 3, 7, 31])
+    def test_odd_order_at_negative_zero(self, kind, n):
+        # The one exception to A_n(-z) = (-1)**n A_n(z) bit for bit (see
+        # test_paths.test_parity): -0.0 < 0 is false, so an odd order gives
+        # +0.0 at z = -0.0, as the oracle does.
+        oracle = ref_I if kind == "I" else ref_J
+        assert evaluate(ApproxRequest(kind, n, 8, -0.0)).hex() == "0x0.0p+0"
+        assert oracle(n, -0.0).hex() == "0x0.0p+0"
+
 
 class TestClosedForms:
     def test_order0_at_zero(self):

@@ -365,6 +365,18 @@ class TestScaling:
         assert fields["expected"] == "5"
         assert float(fields["slope"]) == pytest.approx(5.0, abs=0.2)
 
+    def test_json_holds_the_csv_row(self, capsys):
+        # One report in two formats: the JSON keys are the CSV columns, in
+        # order, and the values are the row's, the slope before rounding.
+        argv = ("scaling", "--kind", "J", "-n", "3", "-p", "2", "--samples", "8", "--dps", "40")
+        _, out, _ = run(capsys, *argv)
+        header, row = out.splitlines()
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert list(payload) == header.split(",")
+        cells = [f"{v:.4f}" if k == "slope" else str(v) for k, v in payload.items()]
+        assert ",".join(cells) == row
+
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "scaling", "-n", "0", "-p", "1", "--z-max", "2")
         assert code == EXIT_USAGE
@@ -517,6 +529,16 @@ class TestBench:
         payload = json.loads(out)
         assert payload["kind"] == "J" and payload["repetitions"] == 3
 
+    def test_json_keys_are_the_csv_columns(self, capsys):
+        argv = ("bench", "--kind", "J", "-n", "2", "-p", "3", "-z", "1,2", "--repetitions", "3")
+        _, out, _ = run(capsys, *argv)
+        header, row = out.splitlines()
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert list(payload) == header.split(",")
+        assert [str(v) for v in payload.values()][:5] == row.split(",")[:5] == [
+            "J", "2", "3", "2", "3"]
+
     def test_zero_repetitions_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "bench", "-n", "0", "-p", "2", "--repetitions", "0")
         assert code == EXIT_USAGE
@@ -544,6 +566,19 @@ class TestIdentities:
         tags = {line.split(",")[0] for line in lines[1:]}
         assert tags == {"N2", "N4", "N8", "N4P", "J4P"}
         assert all(float(line.split(",")[2]) < 1e-12 for line in lines[1:])
+
+    def test_json_p_is_an_int(self, capsys):
+        # As eval, table, scaling and bench print it; null where the identity
+        # takes no p.  The CSV column is the same digits, or empty.
+        code, out, _ = run(capsys, "identities", "-p", "3,1", "--format", "json")
+        assert code == EXIT_OK
+        assert [(row["identity"], row["p"]) for row in json.loads(out)] == [
+            ("N2", None), ("N4", None), ("N8", None),
+            ("N4P", 1), ("J4P", 1), ("N4P", 3), ("J4P", 3)]
+        code, out, _ = run(capsys, "identities", "-p", "3,1")
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["N2", ""], ["N4", ""], ["N8", ""],
+            ["N4P", "1"], ["J4P", "1"], ["N4P", "3"], ["J4P", "3"]]
 
     def test_unreachable_tolerance_fails_consistency(self, capsys):
         code, _, err = run(capsys, "identities", "--tol", "1e-30")

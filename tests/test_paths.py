@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from besselhyp import ApproxRequest, Binary64OverflowError, approximation, evaluate
+from besselhyp import (ApproxRequest, Binary64OverflowError, DomainError, approximation,
+                       evaluate)
 from besselhyp.approximation import (
     _COND_MAX,
     _COSH_EDGE,
@@ -535,6 +536,47 @@ def test_whole_domain(point):
     if err > bound:
         bound += _argument_rounding(kind, n, p, z)
     assert err <= bound, (point, got, float(want), float(scale))
+
+
+def _signed_outcomes(kind, n, p, z):
+    # float.hex of evaluate at -z and of (-1)**n evaluate at z, or the type of
+    # the error each raises.
+    def outcome(arg, sign):
+        try:
+            return float.hex(sign * evaluate(ApproxRequest(kind, n, p, arg)))
+        except DomainError as exc:
+            return type(exc)
+
+    return outcome(-z, 1), outcome(z, (-1) ** n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.randoms(use_true_random=True).map(_domain_point))
+@example(("I", 64, 40, 710.47))  # the rescale, _rescaled_plan_value
+@example(("I", 7, 2, 705.0))  # the rescale
+@example(("I", 0, 40, 710.4))  # the rescale
+@example(("I", 96, 25, 700.0))  # the series of an order above 65
+@example(("I", 66, 40, 710.5))  # past the edge of cosh: raises at both signs
+def test_parity(point):
+    """A_n(-z) = (-1)**n A_n(z) bit for bit, or the same error at both
+    signs, over the draw of test_whole_domain (so z != 0): the series, the
+    plan, its rescale and J's node sum.  At z = -0.0 an odd order gives
+    +0.0, not -0.0 (test_approximation's TestParity pins it)."""
+    kind, n, p, z = point
+    minus, plus = _signed_outcomes(kind, n, p, z)
+    assert minus == plus, point
+
+
+@pytest.mark.parametrize("n,p,z", [(64, 40, 710.47), (7, 2, 705.0), (0, 40, 710.4)])
+def test_parity_of_the_rescale(monkeypatch, n, p, z):
+    # test_parity's rescale examples take it at both signs.
+    calls = []
+    rescale = approximation._rescaled_plan_value
+    monkeypatch.setattr(approximation, "_rescaled_plan_value",
+                        lambda *args: calls.append(args[-1]) or rescale(*args))
+    minus, plus = _signed_outcomes("I", n, p, z)
+    assert calls == [-z, z]
+    assert minus == plus and isinstance(plus, str)
 
 
 def test_forced_series_far_out_gives_way():

@@ -181,6 +181,37 @@ class TestMillerJ:
             assert [v.hex() for v in _miller_J(orders, -x)] == [v.hex() for v in odd_negated]
 
 
+class TestParity:
+    """I_n(-x) = (-1)**n I_n(x) and J_n(-x) = (-1)**n J_n(x) bit for bit,
+    n <= 64 and 0 < |x| <= 30, from each order alone and from the table pass.
+
+    An odd order is negated as 0.0 - v: where its value underflows to zero
+    the oracle gives +0.0 at both signs, since a sum at z never gives -0.0.
+    """
+
+    # Log-uniform from 1e-6, where the high orders underflow, to Z_MAX;
+    # Z_MAX itself; and both float neighbours of each switch z**2 =
+    # 8 (n + 1) between ref_J's series and Miller's recurrence.
+    XS = ([math.exp(rng.uniform(math.log(1e-6), math.log(Z_MAX)))
+           for rng in [random.Random(32)] for _ in range(40)]
+          + [Z_MAX]
+          + [math.nextafter(edge, to) for n in range(N_MAX + 1)
+             for edge in [math.sqrt(_J_SERIES_REACH * (n + 1))] for to in (0.0, math.inf)])
+    ORDERS = list(range(N_MAX + 1))
+
+    @staticmethod
+    def _negated_odd(values):
+        return [(0.0 - v if n % 2 else v).hex() for n, v in enumerate(values)]
+
+    @pytest.mark.parametrize("ref,orders", [(ref_I, _ref_I_orders), (ref_J, _ref_J_orders)],
+                             ids=["I", "J"])
+    def test_negative_argument(self, ref, orders):
+        for x in self.XS:
+            want = self._negated_odd([ref(n, x) for n in self.ORDERS])
+            assert [ref(n, -x).hex() for n in self.ORDERS] == want, x
+            assert [v.hex() for v in orders(self.ORDERS, -x)] == want, x
+
+
 class TestWholeDomainAccuracy:
     """ref_I and ref_J against the fixed-point series hp_ref over the whole
     domain, n <= 64 and |z| <= 30 of both signs: a fixed draw, a fixed draw

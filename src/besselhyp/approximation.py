@@ -682,8 +682,7 @@ def evaluate(req: ApproxRequest) -> float:
         route = _route(n, p, kind)
     below, lead, ratios, run, odd, even, steps, bound, reach, limit = route
     az = abs(z)
-    value = _sum_series(lead, ratios, n, az, kind == "J") if az < below else None
-    if value is None:
+    if az >= below or (value := _sum_series(lead, ratios, n, az, kind == "J")) is None:
         if bound:
             size = 0.0
             for m in bound:
